@@ -68,8 +68,10 @@ _TIER_PINNED = _metrics.counter("checkpoint.tier.pins")
 #: Version of the persisted-record key schema.  Folded into every
 #: context-qualified cache key (see ``repro.parallel.cache_context``),
 #: so changing what a payload means only requires bumping this — old
-#: records simply stop matching instead of being misread.
-CACHE_SCHEMA_VERSION = 1
+#: records simply stop matching instead of being misread.  Version 2
+#: keys node-class records on the lowered work's fingerprint; version
+#: 1 keyed them on the program name, which aliased different scales.
+CACHE_SCHEMA_VERSION = 2
 
 #: Seconds a writer waits for a contended per-record lock before
 #: giving up (a record write is milliseconds; this is ~1000x slack).

@@ -8,7 +8,9 @@ lowered loop IR, the pipeline timing rows and every torus phase are
 identical at all five points — only the hierarchy analysis differs.
 This module exploits that:
 
-* sweep points are planned together: placements, node-card counter
+* sweep points are planned together: node classes are keyed on
+  ``(residents, work fingerprint, mode, mem_config)`` exactly as in
+  ``Job.run``; placements, node-card counter
   modes, communication phases and the comm-side counter accumulation
   are computed once per (kernel, layout) group and shared by every L3
   point of that kernel; pipeline-timing rows are deduped on
@@ -433,6 +435,7 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
         point_classes: List[Dict[int, Tuple]] = []  # residents -> key
         class_specs: Dict[Tuple, PointSpec] = {}
         works: Dict[int, Any] = {}
+        fingerprints: Dict[int, str] = {}
         for point in points:
             lkey = (point.num_ranks, point.mode.name, point.num_nodes)
             layout = layouts.get(lkey)
@@ -440,9 +443,11 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                 layout = layouts[lkey] = _Layout(
                     point.num_ranks, point.mode, point.num_nodes)
             if id(point.program) not in works:
-                works[id(point.program)] = _program_to_work(point.program)
-            job_key = (point.program.name, point.program.flags_label,
-                       point.mode.name, point.mem_config)
+                work = works[id(point.program)] = _program_to_work(
+                    point.program)
+                fingerprints[id(point.program)] = work.fingerprint()
+            job_key = (fingerprints[id(point.program)], point.mode.name,
+                       point.mem_config)
             by_residents: Dict[int, Tuple] = {}
             for residents in layout.residents:
                 if residents not in by_residents:

@@ -72,6 +72,11 @@ class TorusTopology:
         x, y, z = self.dims
         return x * y * z
 
+    @property
+    def diameter(self) -> int:
+        """Most hops any dimension-ordered route takes."""
+        return sum(d // 2 for d in self.dims)
+
     # ------------------------------------------------------------------
     def coords(self, node: int) -> Coord:
         """Linear node id -> (x, y, z)."""

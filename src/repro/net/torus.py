@@ -16,14 +16,20 @@ payload size — sub-packet messages still burn a whole packet slot.
 
 Two phase engines are provided.  :meth:`TorusNetwork.run_phase_scalar`
 is the per-message Python loop — the oracle.  The vectorized engine
-expands every route of the phase at once (``repro.net.topology.
-TorusTopology.route_arrays``) and accumulates link/packet/hop counts
-with ``np.add.at``/``np.bincount`` array passes; it is byte-identical
-to the oracle (every accumulated quantity is an exact integer, and the
-few float reductions replay the scalar accumulation order), enforced by
-the randomized identity suite in ``tests/test_machine_vec.py``.
-:meth:`TorusNetwork.run_phase` dispatches on the process-wide engine
-switch (:func:`repro.parallel.get_vectorize`).
+takes the phase as *flows* — ``(src, dst, size, count)`` rows, each
+standing for ``count`` identical messages — routes every flow once
+(``repro.net.topology.TorusTopology.route_arrays``, fed in blocks of
+:data:`ROUTE_BLOCK` flows so peak memory is bounded by the block, not
+by the message count) and accumulates link/packet/hop counts with
+``np.add.at`` scatters weighted by ``count``.  It is byte-identical to
+the oracle run over the flows' expansion (every accumulated quantity
+is an exact integer; the one float sum, ``hop_cycles``, is an exact
+integer product whenever :meth:`TorusNetwork.hop_cycles_exact` holds
+and an ordered per-message replay otherwise), enforced by the
+randomized identity suites in ``tests/test_machine_vec.py`` and
+``tests/test_comm_flows.py``.  :meth:`TorusNetwork.run_phase`
+dispatches on the process-wide engine switch
+(:func:`repro.parallel.get_vectorize`).
 """
 
 from __future__ import annotations
@@ -46,6 +52,25 @@ _PHASE_CYCLES = _metrics.histogram("net.torus_phase_cycles")
 #: fixed setup cost; identity between the engines makes the threshold a
 #: pure performance knob.
 _VECTOR_MIN_MESSAGES = 16
+
+#: Flows routed per :meth:`TorusTopology.route_arrays` call.  Every
+#: routed quantity is an integer scatter into fixed-size accumulators,
+#: so splitting the flow list is exact; the block bounds the expanded
+#: per-hop rows held at once (block x partition diameter).
+ROUTE_BLOCK = 1 << 14
+
+#: Largest integer magnitude below which float64 sums are exact.
+_EXACT_FLOAT_INT = 1 << 53
+
+
+def first_occurrence(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """The distinct ``keys`` (ints in ``[0, num_keys)``) in the order
+    they first appear — the insertion order of a dict filled key by
+    key in a Python loop over ``keys``."""
+    first = np.full(num_keys, len(keys), dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(len(keys), dtype=np.int64))
+    present = np.flatnonzero(first < len(keys))
+    return present[np.argsort(first[present], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -169,30 +194,53 @@ class TorusNetwork:
         return self.run_phase(messages, balanced, engine="vector")
 
     def run_phase_arrays(self, src: np.ndarray, dst: np.ndarray,
-                         size: np.ndarray,
-                         balanced: bool = False) -> PhaseResult:
-        """The batched engine fed (src, dst, size_bytes) arrays directly.
+                         size: np.ndarray, balanced: bool = False,
+                         count: Optional[np.ndarray] = None
+                         ) -> PhaseResult:
+        """The batched engine fed (src, dst, size_bytes) flow arrays.
 
-        Equivalent to ``run_phase([Message(s, d, b) ...], balanced)``
-        without materialising the Message objects — the entry point the
-        MPI layer's vectorized lowering uses for large phases.  Sizes
-        must be >= 0 (Message enforces this for the object path).
+        Row ``i`` stands for ``count[i]`` identical messages (one when
+        ``count`` is None), so the result equals ``run_phase`` over the
+        flows expanded in row order, without materialising a Message —
+        or even a row — per message.  Sizes and counts must be >= 0
+        (Message enforces the size check for the object path).
         """
         size = np.asarray(size, dtype=np.int64)
         if size.size and int(size.min()) < 0:
             raise ValueError("message size must be >= 0")
+        if count is not None:
+            count = np.asarray(count, dtype=np.int64)
+            if count.shape != size.shape:
+                raise ValueError("count must have one entry per flow")
+            if count.size and int(count.min()) < 0:
+                raise ValueError("message count must be >= 0")
         _PHASES.inc()
-        charge_span = _span("net.torus.phase", messages=int(size.size),
-                            balanced=balanced, engine="vector")
+        messages = size.size if count is None else count.sum()
+        charge_span = _span("net.torus.phase", messages=int(messages),
+                            flows=int(size.size), balanced=balanced,
+                            engine="vector")
         result = self._phase_vector_arrays(
             np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64), size, balanced)
+            np.asarray(dst, dtype=np.int64), size, balanced, count)
         _PACKETS.inc(result.total_packets)
         _PHASE_CYCLES.observe(result.cycles)
         charge_span.set("cycles", result.cycles)
         charge_span.set("packets", result.total_packets)
         charge_span.end()
         return result
+
+    def hop_cycles_exact(self, packet_hops: int) -> bool:
+        """Whether ``hop_cycles`` over ``packet_hops`` is order-free.
+
+        With an integer-valued hop latency ``L`` and ``|L| *
+        packet_hops`` below 2**53, every per-message term and every
+        partial sum of the oracle's float accumulation is an exactly
+        representable integer, so the sum equals ``float(L *
+        packet_hops)`` whatever the message order.
+        """
+        latency = self.config.hop_latency_cycles
+        return (float(latency).is_integer()
+                and abs(int(latency)) * packet_hops < _EXACT_FLOAT_INT)
 
     # ------------------------------------------------------------------
     def _phase_scalar(self, messages: Sequence[Message],
@@ -239,55 +287,83 @@ class TorusNetwork:
         return self._phase_vector_arrays(src, dst, size, balanced)
 
     def _phase_vector_arrays(self, src: np.ndarray, dst: np.ndarray,
-                             size: np.ndarray,
-                             balanced: bool) -> PhaseResult:
+                             size: np.ndarray, balanced: bool,
+                             count: Optional[np.ndarray] = None
+                             ) -> PhaseResult:
         result = PhaseResult()
         live = (src != dst) & (size > 0)
-        src, dst, size = src[live], dst[live], size[live]
+        if count is not None:
+            live &= count > 0
+        if not live.all():
+            src, dst, size = src[live], dst[live], size[live]
+            if count is not None:
+                count = count[live]
         if len(src) == 0:
             self._finish_phase(result, 0, 0, 0.0, balanced)
             return result
 
         cfg = self.config
         pkts = -(-size // cfg.packet_bytes)
-        routes = self.topology.route_arrays(src, dst)
-        hops = routes["hops"]
+        # packets per flow: every count-weighted sum below is an exact
+        # integer, so it equals the oracle's per-message accumulation
+        weight = pkts if count is None else pkts * count
+        wire_bytes = weight * cfg.packet_bytes
 
-        result.total_packets = int(pkts.sum())
-        # hop_cycles: the per-message terms are bit-identical to the
-        # scalar loop's (int * int, one float rounding); Python's sum()
-        # replays the same left-to-right accumulation order
-        hop_terms = (hops * pkts) * cfg.hop_latency_cycles
-        result.hop_cycles = sum(hop_terms.tolist())
-        # message_cost, elementwise in the scalar evaluation order
+        # route in blocks, scattering each block's per-directed-link
+        # serialised bytes into one (node, direction) accumulator
+        n = len(src)
+        hops = np.empty(n, dtype=np.int64)
+        first_dir = np.empty(n, dtype=np.int64)
+        link_acc = np.zeros(self.topology.num_nodes * 6, dtype=np.int64)
+        for start in range(0, n, ROUTE_BLOCK):
+            block = slice(start, start + ROUTE_BLOCK)
+            routes = self.topology.route_arrays(src[block], dst[block])
+            hops[block] = routes["hops"]
+            first_dir[block] = routes["first_dir"]
+            np.add.at(link_acc,
+                      routes["link_node"] * 6 + routes["link_dir"],
+                      wire_bytes[block][routes["link_msg"]])
+            del routes  # free this block's hop rows before the next
+        max_link = int(link_acc.max(initial=0))
+        total_link = int(link_acc.sum())
+
+        result.total_packets = int(weight.sum())
+        packet_hops = int((hops * weight).sum())
+        if self.hop_cycles_exact(packet_hops):
+            result.hop_cycles = float(int(cfg.hop_latency_cycles)
+                                      * packet_hops)
+        else:
+            # the oracle's ordered per-message accumulation over the
+            # flow expansion; each term is bit-identical to the scalar
+            # loop's (int * int, one float rounding)
+            terms = ((hops * pkts) * cfg.hop_latency_cycles).tolist()
+            repeats = [1] * n if count is None else count.tolist()
+            total = 0.0
+            for term, times in zip(terms, repeats):
+                for _ in range(times):
+                    total += term
+            result.hop_cycles = total
+        # message_cost, elementwise in the scalar evaluation order; all
+        # messages of a flow cost the same, so the max is over flows
         wire = (pkts * cfg.packet_bytes) / cfg.bytes_per_cycle
         costs = (cfg.software_overhead_cycles
                  + hops * cfg.hop_latency_cycles + wire)
         worst_message = float(costs.max(initial=0.0))
 
-        # per-directed-link serialised bytes: an exact-integer np.add.at
-        # scatter over (node, direction) slots
-        wire_bytes = pkts * cfg.packet_bytes
-        link_acc = np.zeros(self.topology.num_nodes * 6, dtype=np.int64)
-        np.add.at(link_acc, routes["link_node"] * 6 + routes["link_dir"],
-                  wire_bytes[routes["link_msg"]])
-        max_link = int(link_acc.max(initial=0))
-        total_link = int(link_acc.sum())
-
         # received/sent dicts, rebuilt in the scalar loop's insertion
-        # order (first occurrence in message order)
-        recv_acc = np.zeros(self.topology.num_nodes, dtype=np.int64)
-        np.add.at(recv_acc, dst, pkts)
-        uniq_dst, first_seen = np.unique(dst, return_index=True)
-        for node in uniq_dst[np.argsort(first_seen, kind="stable")]:
-            result.received[int(node)] = int(recv_acc[node])
+        # order (first occurrence in flow order — a key's first message
+        # is the first message of its flow)
+        num_nodes = self.topology.num_nodes
+        recv_acc = np.zeros(num_nodes, dtype=np.int64)
+        np.add.at(recv_acc, dst, weight)
+        for node in first_occurrence(dst, num_nodes).tolist():
+            result.received[node] = int(recv_acc[node])
 
-        sent_key = src * 6 + routes["first_dir"]
-        sent_acc = np.zeros(self.topology.num_nodes * 6, dtype=np.int64)
-        np.add.at(sent_acc, sent_key, pkts)
-        uniq_key, first_seen = np.unique(sent_key, return_index=True)
-        for key in uniq_key[np.argsort(first_seen, kind="stable")]:
-            node, direction = int(key) // 6, int(key) % 6
+        sent_key = src * 6 + first_dir
+        sent_acc = np.zeros(num_nodes * 6, dtype=np.int64)
+        np.add.at(sent_acc, sent_key, weight)
+        for key in first_occurrence(sent_key, num_nodes * 6).tolist():
+            node, direction = key // 6, key % 6
             node_sent = result.sent.setdefault(node, {})
             node_sent[DIRECTION_NAMES[direction]] = int(sent_acc[key])
 

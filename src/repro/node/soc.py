@@ -10,6 +10,7 @@ node's UPC unit.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -64,6 +65,15 @@ class ProcessWork:
         """The ``(streams, traversals)`` pairs for the hierarchy model."""
         return [(loop.streams, loop.traversals) for loop in self.loops
                 if loop.streams]
+
+    def fingerprint(self) -> str:
+        """Content hash of the work: equal exactly when every loop's
+        mix, streams, traversals and serial fraction are equal, so it
+        keys node results by what a node runs, not by program name."""
+        content = repr([(tuple(loop.mix.as_vector().tolist()),
+                         tuple(loop.streams), loop.traversals,
+                         loop.serial_fraction) for loop in self.loops])
+        return hashlib.sha256(content.encode("utf-8")).hexdigest()
 
 
 @dataclass

@@ -386,8 +386,10 @@ class Job:
         # O(classes) node simulations instead of O(nodes).
         work = _program_to_work(self.program)
         compute_cycles: List[float] = [0.0] * self.num_ranks
-        job_key = (self.program.name, self.program.flags_label,
-                   machine.mode.name, machine.mem_config)
+        # keyed on the lowered work itself: one program name covers
+        # different per-rank work at other rank counts or classes
+        job_key = (work.fingerprint(), machine.mode.name,
+                   machine.mem_config)
         with _span("phase.compute", nodes=len(nodes)) as compute_span:
             classes: Dict[Tuple, List[ComputeNode]] = {}
             for node in nodes:

@@ -9,7 +9,8 @@ using the job's rank placement:
   decomposition; co-resident partners (Virtual Node Mode!) communicate
   through the shared L3 instead of the torus;
 * **ALLTOALL** — personalised all-to-all (FT's transpose): every rank
-  sends an equal slice to every other rank;
+  sends an equal slice to every other rank; the array engine costs it
+  as one weighted flow per node pair, never per rank pair;
 * **PAIRWISE** — fixed-partner exchange (IS's ranking step);
 * **ALLREDUCE / BROADCAST** — the collective tree network;
 * **BARRIER** — the global barrier network.
@@ -24,7 +25,7 @@ benchmarks in VNM (Figure 12).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from ..net import (
     TorusTopology,
 )
 from ..net.topology import partition_shape
+from ..net.torus import first_occurrence
 from ..parallel import get_vectorize
 from .process import JobPlacement
 
@@ -52,6 +54,23 @@ _LINE = 128
 #: Below this many messages the vectorized lowering isn't worth its
 #: array setup (mirrors the torus phase-engine threshold).
 _VECTOR_MIN_TRIPLES = 16
+
+
+class Flows(NamedTuple):
+    """One repeat of a point-to-point op, lowered for the array engine.
+
+    Intra-node messages stay per message (their shared-memory cycles
+    are a per-rank float replay); inter-node traffic is a list of torus
+    flows, row ``i`` standing for ``count[i]`` identical messages
+    (``count`` None: one each).
+    """
+
+    intra_rank: np.ndarray  #: sending rank of each intra-node message
+    intra_size: np.ndarray  #: its bytes, in scalar message order
+    src: np.ndarray         #: flow source node
+    dst: np.ndarray         #: flow destination node
+    size: np.ndarray        #: bytes per message of the flow
+    count: Optional[np.ndarray]
 
 
 @dataclass
@@ -174,30 +193,79 @@ class SimMPI:
             return out
         raise ValueError(f"{op.kind} is not a point-to-point pattern")
 
-    def _message_arrays(self, op: CommOp):
-        """(src, dst, bytes) int64 arrays for one repeat of ``op``.
+    def _message_arrays(self, op: CommOp) -> Optional[Flows]:
+        """One repeat of ``op`` lowered to :class:`Flows`, or None.
 
-        The array twin of :meth:`_messages_for`, in the identical
-        message order.  ALLTOALL — the only pattern whose message count
-        is quadratic in ranks — is built directly as arrays; the others
-        are converted from the scalar lowering.
+        None sends the op to the per-message oracle: phases too small
+        to amortise the array setup, and all-to-alls whose node-pair
+        merge could change the float ``hop_cycles`` sum (see
+        :meth:`_alltoall_flows`).  HALO and PAIRWISE keep one flow per
+        inter-node message, in the scalar message order.
         """
         if op.kind is CommKind.ALLTOALL:
-            n = self.placement.num_ranks
-            if n == 1:
-                empty = np.zeros(0, dtype=np.int64)
-                return empty, empty, empty.copy()
-            slice_bytes = op.bytes_per_rank // (n - 1)
-            ranks = np.arange(n, dtype=np.int64)
-            src = np.repeat(ranks, n - 1)
-            # row-major with the diagonal removed: for each r, every
-            # q != r in ascending order — the scalar loop's order
-            dst = np.broadcast_to(ranks, (n, n))[~np.eye(n, dtype=bool)]
-            size = np.full(src.shape, slice_bytes, dtype=np.int64)
-            return src, dst, size
-        arr = np.asarray(self._messages_for(op),
-                         dtype=np.int64).reshape(-1, 3)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
+            return self._alltoall_flows(op)
+        triples = self._messages_for(op)
+        if len(triples) < _VECTOR_MIN_TRIPLES:
+            return None
+        src_r, dst_r, size = np.asarray(
+            triples, dtype=np.int64).reshape(-1, 3).T
+        live = size > 0
+        src_r, dst_r, size = src_r[live], dst_r[live], size[live]
+        node_of = self._rank_to_node()
+        src_node, dst_node = node_of[src_r], node_of[dst_r]
+        intra = src_node == dst_node
+        inter = ~intra
+        return Flows(intra_rank=src_r[intra], intra_size=size[intra],
+                     src=src_node[inter], dst=dst_node[inter],
+                     size=size[inter], count=None)
+
+    def _alltoall_flows(self, op: CommOp) -> Optional[Flows]:
+        """Personalised all-to-all as weighted node-pair flows.
+
+        Every rank sends one equal slice to every other rank, so the
+        ``n * (n - 1)`` rank messages collapse to one flow per ordered
+        pair of distinct nodes with ``count = residents(src) *
+        residents(dst)``.  Nodes are ordered by their lowest rank, so
+        the pairs come out in the order of their first message — the
+        order every first-occurrence dict of the oracle is keyed in.
+        Co-resident pairs become the intra-node list: each rank's
+        ``residents - 1`` shared-memory sends, rank by rank.
+        """
+        n = self.placement.num_ranks
+        if n * (n - 1) < _VECTOR_MIN_TRIPLES:
+            return None
+        slice_bytes = op.bytes_per_rank // (n - 1)
+        if slice_bytes == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return Flows(empty, empty, empty, empty, empty, empty)
+        # merging reorders the oracle's float hop_cycles accumulation;
+        # bound its packet-hops by diameter x packets and keep the
+        # per-message oracle when that bound is not provably exact
+        packets = self.torus.packets(slice_bytes)
+        if not self.torus.hop_cycles_exact(
+                self.topology.diameter * packets * n * (n - 1)):
+            return None
+        node_of = self._rank_to_node()
+        nodes, first_rank, residents = np.unique(
+            node_of, return_index=True, return_counts=True)
+        order = np.argsort(first_rank, kind="stable")
+        nodes, residents = nodes[order], residents[order]
+        k = len(nodes)
+        src = np.repeat(nodes, k)
+        dst = np.tile(nodes, k)
+        count = np.outer(residents, residents).ravel()
+        inter = src != dst
+        src, dst, count = src[inter], dst[inter], count[inter]
+        home = np.zeros(int(nodes.max()) + 1, dtype=np.int64)
+        home[nodes] = residents
+        intra_rank = np.repeat(np.arange(n, dtype=np.int64),
+                               home[node_of] - 1)
+        return Flows(intra_rank=intra_rank,
+                     intra_size=np.full(intra_rank.shape, slice_bytes,
+                                        dtype=np.int64),
+                     src=src, dst=dst,
+                     size=np.full(src.shape, slice_bytes, dtype=np.int64),
+                     count=count)
 
     def _rank_to_node(self) -> np.ndarray:
         """Per-rank home node, cached (placement is fixed per job)."""
@@ -235,55 +303,46 @@ class SimMPI:
         intra_max = max(intra_cycles_per_rank.values(), default=0.0)
         return phase, intra_max
 
-    def _cost_arrays(self, src_r: np.ndarray, dst_r: np.ndarray,
-                     size: np.ndarray, balanced: bool,
+    def _cost_arrays(self, flows: Flows, balanced: bool,
                      result: CommResult):
         """Batched lowering; byte-identical to :meth:`_cost_triples`.
 
-        Integer accounting (bytes, DDR lines) commutes exactly; the
-        only float accumulation — per-rank shared-memory cycles — is
-        replayed as a loop over just the intra-node messages, in the
-        scalar message order, so every intermediate rounding matches.
+        Integer accounting (bytes, DDR lines) is count-weighted and
+        commutes exactly; the only float accumulation — per-rank
+        shared-memory cycles — is replayed as a loop over just the
+        intra-node messages, in the scalar message order, so every
+        intermediate rounding matches.
         """
-        live = size > 0
-        src_r, dst_r, size = src_r[live], dst_r[live], size[live]
-        node_of = self._rank_to_node()
-        src_node = node_of[src_r]
-        dst_node = node_of[dst_r]
-        intra = src_node == dst_node
-
-        # shared-memory path: exact float replay (few messages — only
-        # co-resident pairs land here)
         intra_cycles_per_rank: Dict[int, float] = {}
-        for src, sz in zip(src_r[intra].tolist(), size[intra].tolist()):
+        for src, sz in zip(flows.intra_rank.tolist(),
+                           flows.intra_size.tolist()):
             intra_cycles_per_rank[src] = (
                 intra_cycles_per_rank.get(src, 0.0)
                 + SHM_OVERHEAD_CYCLES + sz / SHM_BYTES_PER_CYCLE)
-        result.intra_node_bytes += int(size[intra].sum())
+        result.intra_node_bytes += int(flows.intra_size.sum())
 
-        inter = ~intra
-        isrc, idst = src_node[inter], dst_node[inter]
-        isize = size[inter]
-        result.inter_node_bytes += int(isize.sum())
+        src, dst, size, count = flows.src, flows.dst, flows.size, flows.count
+        weighted = size if count is None else size * count
+        result.inter_node_bytes += int(weighted.sum())
         # DDR staging lines, charged to both endpoints.  int(size *
         # fraction) truncates toward zero; astype(int64) of the same
         # float64 product truncates identically for non-negative sizes.
-        lines = (isize * COMM_DDR_FRACTION).astype(np.int64) // _LINE
-        ids = np.empty(2 * isrc.size, dtype=np.int64)
-        ids[0::2] = isrc
-        ids[1::2] = idst
-        vals = np.repeat(lines, 2)
+        lines = (size * COMM_DDR_FRACTION).astype(np.int64) // _LINE
+        if count is not None:
+            lines *= count
+        ids = np.empty(2 * src.size, dtype=np.int64)
+        ids[0::2] = src
+        ids[1::2] = dst
         if ids.size:
-            acc = np.zeros(int(node_of.max()) + 1, dtype=np.int64)
-            np.add.at(acc, ids, vals)
-            uniq, first_seen = np.unique(ids, return_index=True)
-            for node in uniq[np.argsort(first_seen, kind="stable")]:
-                node = int(node)
+            num_ids = int(ids.max()) + 1
+            acc = np.zeros(num_ids, dtype=np.int64)
+            np.add.at(acc, ids, np.repeat(lines, 2))
+            for node in first_occurrence(ids, num_ids).tolist():
                 result.ddr_lines_per_node[node] = (
                     result.ddr_lines_per_node.get(node, 0)
                     + int(acc[node]))
-        phase = self.torus.run_phase_arrays(isrc, idst, isize,
-                                            balanced=balanced)
+        phase = self.torus.run_phase_arrays(src, dst, size,
+                                            balanced=balanced, count=count)
         intra_max = max(intra_cycles_per_rank.values(), default=0.0)
         return phase, intra_max
 
@@ -306,16 +365,9 @@ class SimMPI:
             return result
 
         balanced = op.kind is CommKind.ALLTOALL
-        if get_vectorize():
-            src_r, dst_r, size = self._message_arrays(op)
-            if src_r.size >= _VECTOR_MIN_TRIPLES:
-                phase, intra_max = self._cost_arrays(
-                    src_r, dst_r, size, balanced, result)
-            else:
-                triples = list(zip(src_r.tolist(), dst_r.tolist(),
-                                   size.tolist()))
-                phase, intra_max = self._cost_triples(
-                    triples, balanced, result)
+        flows = self._message_arrays(op) if get_vectorize() else None
+        if flows is not None:
+            phase, intra_max = self._cost_arrays(flows, balanced, result)
         else:
             phase, intra_max = self._cost_triples(
                 self._messages_for(op), balanced, result)

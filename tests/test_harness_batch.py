@@ -238,6 +238,78 @@ def test_shared_tier_record_set_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# node-class keys: one program name, different per-rank work
+# ---------------------------------------------------------------------------
+_FRESH_SCRIPT = """
+import json, sys
+from repro.compiler import O5
+from repro.harness.sweep import run_scaled_vnm
+code, ranks, l3, cls = sys.argv[1:]
+result = run_scaled_vnm(code, O5(), int(ranks), int(l3), cls)
+print(json.dumps(result.to_dict(), sort_keys=True))
+"""
+
+
+def _fresh_process_fingerprint(*args) -> str:
+    """``run_scaled_vnm(*args)`` in a new interpreter with no tier."""
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_SCRIPT] + [str(a) for a in args],
+        env=env, check=True, capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+def test_batched_warm_across_rank_counts_matches_per_point():
+    """SP at 16 and 64 ranks share a name and a resident count but not
+    their per-rank work; one batch must not hand one the other's node
+    class."""
+    calls = [("SP", O5(), 16), ("SP", O5(), 64)]
+    set_batch_sweep(True)
+    warm(run_scaled_vnm, calls)
+    batched = [_fingerprint(run_scaled_vnm(*args)) for args in calls]
+    clear_caches()
+    set_batch_sweep(False)
+    per_point = [_fingerprint(run_scaled_vnm(*args)) for args in calls]
+    assert batched == per_point
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_tier_scaled_point_after_paper_point_matches_fresh_process(
+        tmp_path, batch):
+    """The shared tier must not serve SP-121's node classes to SP-16."""
+    set_batch_sweep(batch)
+    tier = install_shared_tier(str(tmp_path))
+    attach_runner_store(tier)
+    try:
+        warm(run_vnm, [("SP", O5())])
+        run_vnm("SP", O5())
+        warm(run_scaled_vnm, [("SP", O5(), 16)])
+        served = _fingerprint(run_scaled_vnm("SP", O5(), 16))
+    finally:
+        detach_resume()
+        uninstall_shared_tier()
+    assert served == _fresh_process_fingerprint("SP", 16, 8, "C")
+
+
+def test_tier_problem_classes_do_not_share_node_classes(tmp_path):
+    """Class A and class C of one benchmark at one scale differ only in
+    per-rank work; a tier warmed with A must not answer C."""
+    tier = install_shared_tier(str(tmp_path))
+    try:
+        run_scaled_vnm("SP", O5(), 16, 8, "A")
+        served = _fingerprint(run_scaled_vnm("SP", O5(), 16, 8, "C"))
+    finally:
+        uninstall_shared_tier()
+    clear_caches()
+    assert served == _fingerprint(run_scaled_vnm("SP", O5(), 16, 8, "C"))
+
+
+# ---------------------------------------------------------------------------
 # pin policy: the figure working set survives LRU pressure
 # ---------------------------------------------------------------------------
 def test_pinned_records_survive_byte_cap_stress(tmp_path):

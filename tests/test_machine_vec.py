@@ -439,22 +439,40 @@ def test_mpi_comm_result_identity(op, num_ranks, mode):
         _comm_result_fingerprint(vector)
 
 
-def test_mpi_alltoall_array_lowering_matches_triples():
-    """_message_arrays reproduces _messages_for order exactly."""
+def test_mpi_alltoall_flows_match_triples():
+    """_message_arrays merges _messages_for into node-pair flows.
+
+    Each flow counts exactly the inter-node triples of its node pair,
+    flows come in the pairs' first-message order, and the intra-node
+    list is the co-resident triples' senders in message order.
+    """
     from repro.compiler.ir import CommKind, CommOp
     from repro.runtime.machine import Machine
     from repro.runtime.mpi import SimMPI
     from repro.runtime.process import place_ranks
 
-    placement = place_ranks(12, OperatingMode.VNM)
-    machine = Machine(3, mode=OperatingMode.VNM)
+    placement = place_ranks(14, OperatingMode.VNM)
+    machine = Machine(4, mode=OperatingMode.VNM)
     mpi = SimMPI(placement, machine.topology, machine.torus,
                  machine.collective, machine.barrier)
-    for n_bytes in (0, 7, 4096):
+    for n_bytes in (0, 7, 13, 4096):
         op = CommOp(CommKind.ALLTOALL, bytes_per_rank=n_bytes)
-        src, dst, size = mpi._message_arrays(op)
-        triples = list(zip(src.tolist(), dst.tolist(), size.tolist()))
-        assert triples == mpi._messages_for(op)
+        flows = mpi._message_arrays(op)
+        pairs = {}
+        intra = []
+        for src, dst, size in mpi._messages_for(op):
+            if size == 0:
+                continue
+            a, b = placement.node_of(src), placement.node_of(dst)
+            if a == b:
+                intra.append((src, size))
+            else:
+                pairs[(a, b, size)] = pairs.get((a, b, size), 0) + 1
+        assert list(zip(flows.intra_rank.tolist(),
+                        flows.intra_size.tolist())) == intra
+        assert list(zip(flows.src.tolist(), flows.dst.tolist(),
+                        flows.size.tolist(), flows.count.tolist())) == [
+            key + (count,) for key, count in pairs.items()]
 
 
 # ---------------------------------------------------------------------------
