@@ -19,7 +19,7 @@ from .config import (
     CounterConfig,
     SignalMode,
 )
-from .counters import ThresholdInterrupt, UPCUnit
+from .counters import CompiledEvents, ThresholdInterrupt, UPCUnit
 from .dump import DumpFormatError, DumpWriter, NodeDump, read_dump
 from .events import (
     COUNTERS_PER_MODE,
@@ -83,6 +83,7 @@ from .registers import UPCRegisterFile
 
 __all__ = [
     "UPCUnit",
+    "CompiledEvents",
     "UPCRegisterFile",
     "ThresholdInterrupt",
     "CounterConfig",

@@ -29,17 +29,18 @@ interface library's even/odd node-card trick works around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .config import COUNTER_MASK, CounterConfig, SignalMode
 from .events import (
+    COUNTERS_PER_MODE,
     EVENTS_BY_NAME,
     Event,
     event_by_name,
 )
-from .registers import UPCRegisterFile
+from .registers import GATE_DROP, GATE_PLAIN, GATE_SCALAR, UPCRegisterFile
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,52 @@ class ThresholdInterrupt:
     event_name: str
     value: int
     threshold: int
+
+
+class CompiledEvents:
+    """A named pulse dict resolved to counter rows, once per counter mode.
+
+    The job engine replicates one node class's event dict to every
+    member node; compiling it once turns each member's delivery into a
+    single vectorised add (:meth:`UPCUnit.pulse_compiled`) instead of a
+    per-event Python loop.  ``events`` keeps the positive counts of the
+    source dict in their order — the exact dict ``ComputeNode.
+    pulse_events`` hands to :meth:`UPCUnit.pulse_many` — so any unit
+    whose target counters are not all plain adds replays it unchanged.
+    """
+
+    __slots__ = ("events", "_by_mode")
+
+    def __init__(self, events: Dict[str, int]):
+        self.events = {name: count for name, count in events.items()
+                       if count > 0}
+        self._by_mode: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def for_mode(self, mode: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct counter indices (int64) and their summed counts
+        modulo 2**64 (uint64) for the events of counter ``mode``;
+        unknown names and other modes' events drop out."""
+        resolved = self._by_mode.get(mode)
+        if resolved is None:
+            acc: Dict[int, int] = {}
+            for name, count in self.events.items():
+                ev = EVENTS_BY_NAME.get(name)
+                if ev is not None and ev.mode == mode:
+                    acc[ev.counter] = acc.get(ev.counter, 0) + count
+            resolved = (np.fromiter(acc.keys(), dtype=np.int64,
+                                    count=len(acc)),
+                        np.array([total & COUNTER_MASK
+                                  for total in acc.values()],
+                                 dtype=np.uint64))
+            self._by_mode[mode] = resolved
+        return resolved
+
+    def row(self, mode: int) -> np.ndarray:
+        """The 256-counter uint64 row these events add in ``mode``."""
+        idx, amt = self.for_mode(mode)
+        row = np.zeros(COUNTERS_PER_MODE, dtype=np.uint64)
+        row[idx] = amt
+        return row
 
 
 @dataclass
@@ -171,6 +218,7 @@ class UPCUnit:
         if not regs.global_enable:
             return
         mode = regs.mode
+        codes = regs.delivery_gate().codes
         acc: Dict[int, int] = {}
         for name, count in events.items():
             if count < 0:
@@ -180,17 +228,36 @@ class UPCUnit:
             ev = EVENTS_BY_NAME.get(name)
             if ev is None or ev.mode != mode:
                 continue
-            cfg = regs.config(ev.counter)
-            if not cfg.enabled:
+            code = codes[ev.counter]
+            if code == GATE_DROP:
                 continue
-            if cfg.signal_mode is SignalMode.LEVEL_LOW:
-                continue
-            if cfg.interrupt_enable:
-                self._increment(ev, count, cfg)
+            if code == GATE_SCALAR:
+                self._increment(ev, count, regs.config(ev.counter))
             else:
                 acc[ev.counter] = acc.get(ev.counter, 0) + count
         if acc:
             regs.add_to_counters(list(acc.keys()), list(acc.values()))
+
+    def pulse_compiled(self, compiled: CompiledEvents) -> None:
+        """Deliver precompiled pulses; same end state as
+        ``pulse_many(compiled.events)``.
+
+        When every target counter is a plain add the whole delivery is
+        one vectorised add of the precomputed row (modular adds
+        commute, so the order of the events cannot matter).  Otherwise
+        the event dict goes through :meth:`pulse_many`, so thresholding
+        and interrupts see exactly the per-event increments they did.
+        """
+        regs = self.registers
+        if not regs.global_enable:
+            return
+        idx, amt = compiled.for_mode(regs.mode)
+        if not idx.size:
+            return
+        if (regs.delivery_gate().array[idx] == GATE_PLAIN).all():
+            regs.add_resolved(idx, amt)
+        else:
+            self.pulse_many(compiled.events)
 
     def level(self, event: Union[str, Event], high_cycles: int,
               total_cycles: int, bursts: Optional[int] = None) -> None:

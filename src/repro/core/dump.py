@@ -26,7 +26,12 @@ Layout (all integers little-endian)::
 
 from __future__ import annotations
 
+import atexit
+import os
+import shutil
 import struct
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -118,9 +123,21 @@ class DumpWriter:
         return bytes(out)
 
     def write(self, path: str) -> None:
-        """Write the dump file at ``path``."""
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write the dump file at ``path``, overwriting it in place.
+
+        An existing file keeps its inode and blocks: the new bytes go
+        over the old ones and the file is then cut to their exact
+        length, so a reused staging file never carries a stale tail.
+        """
+        data = self.to_bytes()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
 
 def read_dump_bytes(data: bytes) -> NodeDump:
@@ -177,3 +194,76 @@ def read_dump(path: str) -> NodeDump:
         return read_dump_bytes(data)
     except DumpFormatError as exc:
         raise DumpFormatError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# staging directories for jobs that keep no dumps
+# ---------------------------------------------------------------------------
+class StagingPool:
+    """Reusable dump directories for jobs run without a ``dump_dir``.
+
+    Every node is still dumped to a real file and read back, but a job
+    that keeps no dumps checks a directory out, and the next job
+    overwrites the same per-node files instead of creating new ones.
+    A checked-out directory belongs to one job at a time, so concurrent
+    threads each get their own.  Directories are tagged with the pid
+    that made them and removed when that process exits; a forked child
+    starts with an empty pool and never touches its parent's.
+    """
+
+    def __init__(self):
+        self._reset()
+
+    def _reset(self) -> None:
+        # also the fork hook: a child's inherited lists would name the
+        # parent's directories, and its lock may be held by a thread
+        # that did not survive the fork
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        self._free: List[str] = []
+        self._made: List[str] = []
+
+    def checkout(self) -> str:
+        """A directory this thread may fill until :meth:`checkin`."""
+        with self._lock:
+            if self._free:
+                return self._free.pop()
+            path = tempfile.mkdtemp(prefix=f"bgp_stage_{self._pid}_")
+            if not self._made:
+                _register_exit(self._remove_all, self._pid)
+            self._made.append(path)
+            return path
+
+    def checkin(self, path: str) -> None:
+        """Return a directory once its dumps have been read back."""
+        with self._lock:
+            if path in self._made:
+                self._free.append(path)
+
+    def _remove_all(self, pid: int) -> None:
+        if pid != os.getpid():
+            return  # an inherited hook: the directories are the parent's
+        for path in self._made:
+            shutil.rmtree(path, ignore_errors=True)
+        self._free = []
+        self._made = []
+
+
+def _register_exit(func, pid: int) -> None:
+    """Run ``func(pid)`` when this process exits.
+
+    ``atexit`` covers ordinary interpreters; a ``multiprocessing``
+    worker leaves through ``os._exit`` after running its finalizers,
+    so it gets one of those as well (``func`` is idempotent).
+    """
+    import multiprocessing
+    from multiprocessing import util
+
+    atexit.register(func, pid)
+    if multiprocessing.parent_process() is not None:
+        util.Finalize(None, func, args=(pid,), exitpriority=0)
+
+
+#: The process-wide pool behind ``Job.run(dump_dir=None)``.
+STAGING = StagingPool()
+os.register_at_fork(after_in_child=STAGING._reset)

@@ -29,9 +29,11 @@ reads back through the API).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .config import COUNTER_MASK, CounterConfig
+from .config import COUNTER_MASK, CounterConfig, SignalMode
 from .events import COUNTERS_PER_MODE
 
 #: Region base offsets (bytes).
@@ -44,6 +46,49 @@ MAP_SIZE = 0x1810
 
 _WORD = 4  # bytes per mapped word
 _U32 = (1 << 32) - 1
+#: Word-index span of the config region (32 words of eight nibbles).
+_CONFIG_START = CONFIG_BASE // _WORD
+_CONFIG_END = _CONFIG_START + COUNTERS_PER_MODE // 8
+
+#: Per-counter delivery gate codes: how a pulse reaches the counter.
+GATE_DROP = 0    # disabled, or LEVEL_LOW (a pulse train is never low)
+GATE_PLAIN = 1   # a plain modular add; commutes with every other add
+GATE_SCALAR = 2  # interrupt-enabled: thresholding needs each increment
+
+
+class DeliveryGate(NamedTuple):
+    """Delivery codes of all 256 counters, decoded from the config words.
+
+    ``codes`` is a tuple for per-event lookups, ``array`` the same codes
+    as a vector for whole-row checks.
+    """
+
+    codes: tuple
+    array: np.ndarray
+
+
+#: Gates memoised on the config words' bytes; a sweep sees a handful of
+#: distinct configurations, so the bound only guards pathological use.
+_GATE_CACHE: "dict[bytes, DeliveryGate]" = {}
+_GATE_CACHE_MAX = 64
+
+
+def _decode_gate(words: np.ndarray) -> DeliveryGate:
+    """Gate of the 32 config words, in ``UPCUnit.pulse_many``'s order
+    of checks: disabled or LEVEL_LOW drops before interrupts count."""
+    codes = []
+    for word in words.tolist():
+        for shift in range(0, 32, 4):
+            cfg = CounterConfig.decode((word >> shift) & 0xF)
+            if not cfg.enabled or cfg.signal_mode is SignalMode.LEVEL_LOW:
+                codes.append(GATE_DROP)
+            elif cfg.interrupt_enable:
+                codes.append(GATE_SCALAR)
+            else:
+                codes.append(GATE_PLAIN)
+    array = np.array(codes, dtype=np.uint8)
+    array.setflags(write=False)
+    return DeliveryGate(tuple(codes), array)
 
 
 class UPCRegisterFile:
@@ -57,6 +102,8 @@ class UPCRegisterFile:
     def __init__(self) -> None:
         # one linear array of 32-bit words covering the whole map
         self._words = np.zeros(MAP_SIZE // _WORD, dtype=np.uint64)
+        # decoded delivery gate; None until read after a config write
+        self._gate = None
 
     # ------------------------------------------------------------------
     # raw word access (the "memory bus")
@@ -69,7 +116,10 @@ class UPCRegisterFile:
     def write_word(self, offset: int, value: int) -> None:
         """Write the 32-bit word at byte ``offset``."""
         self._check(offset)
-        self._words[offset // _WORD] = np.uint64(value & _U32)
+        index = offset // _WORD
+        self._words[index] = np.uint64(value & _U32)
+        if _CONFIG_START <= index < _CONFIG_END:
+            self._gate = None
 
     def _check(self, offset: int) -> None:
         if offset % _WORD:
@@ -127,6 +177,12 @@ class UPCRegisterFile:
                 f"counter index must be 0..{COUNTERS_PER_MODE - 1}")
         amt = np.array([int(d) & COUNTER_MASK for d in deltas],
                        dtype=np.uint64)
+        self.add_resolved(idx, amt)
+
+    def add_resolved(self, idx: np.ndarray, amt: np.ndarray) -> None:
+        """:meth:`add_to_counters` over pre-validated vectors: ``idx``
+        distinct in-range int64 counter indices, ``amt`` uint64 deltas
+        already reduced modulo 2**64 (a precompiled event delivery)."""
         hi_off = COUNTER_BASE // _WORD + idx * 2
         hi = self._words[hi_off]
         lo = self._words[hi_off + 1]
@@ -160,6 +216,27 @@ class UPCRegisterFile:
         word &= ~(0xF << shift) & _U32
         word |= cfg.encode() << shift
         self.write_word(off, word)
+
+    def delivery_gate(self) -> DeliveryGate:
+        """The per-counter delivery codes of the current config words.
+
+        Decoded once per distinct configuration and cached until the
+        next config write (``write_word`` into the config region,
+        ``set_config`` or ``reset_configs``), so batched delivery reads
+        one tuple entry per event instead of decoding a nibble.
+        """
+        gate = self._gate
+        if gate is None:
+            words = self._words[_CONFIG_START:_CONFIG_END]
+            key = words.tobytes()
+            gate = _GATE_CACHE.get(key)
+            if gate is None:
+                gate = _decode_gate(words)
+                if len(_GATE_CACHE) >= _GATE_CACHE_MAX:
+                    _GATE_CACHE.clear()
+                _GATE_CACHE[key] = gate
+            self._gate = gate
+        return gate
 
     @property
     def mode(self) -> int:
@@ -207,8 +284,8 @@ class UPCRegisterFile:
         word = 0
         for shift in range(0, 32, 4):
             word |= nibble << shift
-        start = CONFIG_BASE // _WORD
-        self._words[start:start + COUNTERS_PER_MODE // 8] = np.uint64(word)
+        self._words[_CONFIG_START:_CONFIG_END] = np.uint64(word)
+        self._gate = None
 
     def reset_thresholds(self) -> None:
         """Zero every counter's threshold register in one store."""

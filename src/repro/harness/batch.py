@@ -48,7 +48,7 @@ from .. import faults as _faults
 from .. import markers as _markers
 from ..compiler.ir import Program
 from ..core.dump import NodeDump, dump_file_size
-from ..core.events import COUNTERS_PER_MODE, EVENTS_BY_NAME
+from ..core.counters import CompiledEvents
 from ..core.interface import NODES_PER_NODE_CARD, mode_for_node
 from ..core.postprocess import Aggregation
 from ..isa.latency import CORE_CLOCK_HZ
@@ -78,7 +78,6 @@ from ..runtime.machine import JobResult, _program_to_work
 from ..runtime.mpi import CommResult, SimMPI
 from ..runtime.process import place_ranks
 
-_U64 = (1 << 64) - 1
 
 _BATCH_RUNS = _metrics.counter("batch.runs")
 _BATCH_POINTS = _metrics.counter("batch.points")
@@ -185,26 +184,18 @@ def _accumulate(acc: Dict[str, int], events: Dict[str, int]) -> None:
 def _counts_to_row(counts: Dict[str, int], counter_mode: int) -> np.ndarray:
     """One node's counter row: mode-gated, counter-indexed, masked.
 
-    Mirrors ``UPCUnit.pulse_many`` delivery exactly: zero counts are
-    skipped, negative counts raise, unknown names and events of another
-    mode are ignored, and each counter holds its pulse sum mod 2**64
-    (modular addition commutes, so summing before masking is identical
-    to the per-pulse sequence).
+    Resolved by the same :class:`CompiledEvents` that ``Job.run``
+    delivers to replicated nodes, so it matches ``UPCUnit.pulse_many``
+    exactly: zero counts are skipped, unknown names and events of
+    another mode are ignored, and each counter holds its pulse sum mod
+    2**64 (modular addition commutes, so summing before masking is
+    identical to the per-pulse sequence).  Negative counts raise, as
+    ``pulse_many`` does.
     """
-    acc: Dict[int, int] = {}
     for name, count in counts.items():
         if count < 0:
             raise ValueError(f"negative event count: {name}={count}")
-        if count == 0:
-            continue
-        event = EVENTS_BY_NAME.get(name)
-        if event is None or event.mode != counter_mode:
-            continue
-        acc[event.counter] = acc.get(event.counter, 0) + count
-    row = np.zeros(COUNTERS_PER_MODE, dtype=np.uint64)
-    for counter, total in acc.items():
-        row[counter] = np.uint64(total & _U64)
-    return row
+    return CompiledEvents(counts).row(counter_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,7 @@ def analyze_loop(streams: Sequence[StreamAccess], traversals: int,
         per_stream_l3_misses.append(misses)
 
     # ---- DDR -----------------------------------------------------------
-    result.ddr_reads = sum(per_stream_l3_misses)
+    result.ddr_reads = _seq_sum(per_stream_l3_misses)
     for s, ls, share in zip(streams, l3_streams, l3_shares):
         if not s.kind.writes:
             continue
@@ -465,9 +465,10 @@ def analyze_loops(loops: Sequence[tuple], config: HierarchyConfig,
 #   Python-float expressions (same libm, same evaluation order — the
 #   array expressions below mirror the scalar source term by term);
 # * the few order-sensitive reductions (the per-loop `+=` accumulations
-#   and `sum(...)` calls of the scalar path) are replayed with
-#   sequential left-to-right Python sums (`_seq_sum`), never with
-#   NumPy's pairwise `ndarray.sum`;
+#   of the scalar path, and its DDR-read total, which calls `_seq_sum`
+#   itself) are replayed with the sequential left-to-right `_seq_sum`,
+#   never with NumPy's pairwise `ndarray.sum` nor with `sum()` (which
+#   is compensated from Python 3.12);
 # * adding a 0.0 term is exact, so rows the scalar loop *skips* (e.g.
 #   non-write streams in the writeback pass) can contribute masked
 #   zeros instead of being filtered out.
@@ -490,9 +491,22 @@ _PAT_SEQ = _PAT_CODE[AccessPattern.SEQUENTIAL]
 AnalysisTask = Tuple[Sequence[tuple], HierarchyConfig]
 
 
-def _seq_sum(arr: np.ndarray) -> float:
-    """Left-to-right sum, bit-identical to a scalar ``+=`` loop."""
-    return float(sum(arr.tolist()))
+def _seq_sum(values) -> float:
+    """Left-to-right sum ``((0.0 + v0) + v1) + ...``: a ``+=`` loop.
+
+    Both engines reduce through this one helper (the scalar engine's
+    per-stream ``+=`` accumulations are the same loop spelled inline),
+    so they agree on every Python version.  It is deliberately not
+    ``sum()``: from Python 3.12 that is a compensated sum, which rounds
+    differently from a ``+=`` loop (``[0.1] * 10`` gives 1.0, not
+    0.9999999999999999).
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _distinct_lines_arrays(a: np.ndarray, fp: np.ndarray,

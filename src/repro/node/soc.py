@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.counters import UPCUnit
+from ..core.counters import CompiledEvents, UPCUnit
 from ..core.events import EVENTS_BY_NAME
 from ..cpu import CoreExecution, PPC450Core, PipelineModel
 from ..isa import InstructionMix, OpClass
@@ -274,9 +274,20 @@ class ComputeNode:
         return value
 
     # ------------------------------------------------------------------
-    def pulse_events(self, events: Dict[str, int]) -> None:
-        """Deliver named event pulses to the UPC unit (mode-gated)."""
-        if get_vectorize():
+    def pulse_events(self, events: Union[Dict[str, int], CompiledEvents]
+                     ) -> None:
+        """Deliver named event pulses to the UPC unit (mode-gated).
+
+        Non-positive counts are skipped.  A :class:`CompiledEvents`
+        (one node class's dict, resolved once for all its members)
+        lands as a single vectorised add where the unit allows it.
+        """
+        if isinstance(events, CompiledEvents):
+            if get_vectorize():
+                self.upc.pulse_compiled(events)
+                return
+            events = events.events
+        elif get_vectorize():
             self.upc.pulse_many({name: count
                                  for name, count in events.items()
                                  if count > 0})

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler.ir import Program
+from ..core.counters import CompiledEvents
+from ..core.dump import STAGING as _STAGING
 from ..core.metrics import (
     fp_profile,
     total_flops,
@@ -344,7 +346,22 @@ class Job:
         ``counter_modes`` are the two 256-event sets split across the
         node cards (default: processor/FPU/L1 events + L3/DDR events,
         which the paper's figures need).
+
+        Every node is dumped to a file and read back either way.  With
+        ``dump_dir`` the files stay there and ``JobResult.dump_paths``
+        lists them; without it they go to a staging directory that the
+        next job overwrites in place, and ``dump_paths`` is empty.
         """
+        if dump_dir is not None:
+            return self._run(counter_modes, dump_dir, keep_dumps=True)
+        staging = _STAGING.checkout()
+        try:
+            return self._run(counter_modes, staging, keep_dumps=False)
+        finally:
+            _STAGING.checkin(staging)
+
+    def _run(self, counter_modes: Tuple[int, int], dump_dir: str,
+             keep_dumps: bool) -> JobResult:
         machine = self.machine
         _JOBS.inc()
         job_span = _span("job", program=self.program.name,
@@ -446,6 +463,9 @@ class Job:
                               "events": dict(events)})
             _NODE_CLASSES.inc(len(keys))
             _NODE_CLASS_HITS.inc(len(nodes) - len(keys))
+            # each class's events, resolved to counter rows once on first
+            # use; every replicated member takes them as one add
+            compiled: Dict[Tuple, CompiledEvents] = {}
             rep_samplers: Dict[Tuple, _timeline.NodeTimelineSampler] = {}
             for node in nodes:
                 if fault_ctx is not None:
@@ -460,7 +480,10 @@ class Job:
                     key = (len(residents), node.node_id) + job_key
                 cycles, events = class_results[key]
                 if not simulated.get(node.node_id):
-                    node.pulse_events(events)
+                    rows = compiled.get(key)
+                    if rows is None:
+                        rows = compiled[key] = CompiledEvents(events)
+                    node.pulse_events(rows)
                 for slot, rank in enumerate(residents):
                     compute_cycles[rank] = cycles[slot]
                 if sampling is not None:
@@ -652,7 +675,7 @@ class Job:
             compute_cycles_per_rank=compute_cycles,
             comm_cycles_per_rank=comm_cycles,
             aggregation=session.aggregation(),
-            dump_paths=session.dump_paths,
+            dump_paths=session.dump_paths if keep_dumps else [],
             dump_io_cycles=dump_io,
             timeline=timeline,
         )

@@ -201,3 +201,39 @@ def test_capacity_shares_all_zero_footprints_over_capacity_zero():
     for policy in ("greedy", "proportional"):
         shares = _shares_from_values([5.0, 7.0], [0.0, 0.0], 0.0, policy)
         assert shares == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# order-sensitive reductions: one left-to-right helper for both engines
+# ---------------------------------------------------------------------------
+def test_seq_sum_is_a_left_to_right_loop_not_builtin_sum():
+    """``sum()`` is compensated from Python 3.12; ``_seq_sum`` must stay
+    the plain ``+=`` loop the scalar engine runs, on every version."""
+    import numpy as np
+
+    from repro.mem.analytical import _seq_sum
+
+    assert _seq_sum([0.1] * 10) == 0.9999999999999999
+    assert _seq_sum(np.full(10, 0.1)) == 0.9999999999999999
+    assert _seq_sum([1e16, 1.0, -1e16]) == 0.0
+    assert _seq_sum(np.array([])) == 0.0
+    total = 0.0
+    for value in [0.3, 1e-17, 2.7, -0.6]:
+        total += value
+    assert _seq_sum([0.3, 1e-17, 2.7, -0.6]) == total
+
+
+def test_ddr_reads_fold_like_l3_misses_in_both_engines():
+    """A case where a compensated sum of the per-stream L3 misses rounds
+    differently from the ``+=`` fold: the DDR-read total must equal the
+    L3-miss total bit for bit, and the vector engine must agree."""
+    streams = [StreamAccess(f"r{i}", footprint_bytes=fp, stride_bytes=8,
+                            pattern=AccessPattern.RANDOM, accesses=acc)
+               for i, (fp, acc) in enumerate([(3184203, 292945),
+                                              (2080089, 716887),
+                                              (1341780, 159252)])]
+    scalar = analyze_loops([(streams, 1)], CFG, engine="scalar")
+    vector = analyze_loops([(streams, 1)], CFG, engine="vector")
+    assert scalar.ddr_reads == scalar.l3.misses == 824298.5057710533
+    assert vector.ddr_reads == scalar.ddr_reads
+    assert vector.l3.misses == scalar.l3.misses
