@@ -1,16 +1,16 @@
 """Benchmark the whole-machine matrix pass; record BENCH_machine_vec.json.
 
 Runs the paper's 64-node figure sweep (all eight class-C NPB kernels
-across the five Figure-11 L3 sizes, 256 ranks in VNM) three times:
+across the five Figure-11 L3 sizes, 256 ranks in VNM) twice:
 
-* **baseline** — the pre-engine behavior: scalar analytical / torus /
-  pipeline paths, no node-equivalence memoization, one worker;
-* **engine** — node memoization + comm-phase cache, scalar inner
-  engines (the PR-2 state of the world);
-* **vector** — the same engine with the batched analytical, torus and
-  pipeline matrix passes switched on.
+* **baseline** — the reference oracle (:func:`repro.reference.run_job`):
+  scalar analytical / torus / pipeline paths, every node simulated,
+  no caches, one worker;
+* **vector** — the job engine (``Job.run``): node-equivalence classes,
+  the comm-phase cache and the batched analytical, torus and pipeline
+  matrix passes.
 
-All three legs produce byte-identical counter dumps — the last sweep
+Both legs produce byte-identical counter dumps — the last sweep
 point's job result is compared across legs here, and the randomized
 identity suites in ``tests/test_machine_vec.py`` assert it layer by
 layer.  The wall times and ratios go to ``BENCH_machine_vec.json`` at
@@ -37,7 +37,8 @@ from repro.harness.sweep import PAPER_L3_SIZES_MB, compiled_benchmark
 from repro.mem import NodeMemoryConfig
 from repro.node import OperatingMode
 from repro.npb import BENCHMARK_ORDER
-from repro.parallel import set_jobs, set_vectorize
+from repro.parallel import set_jobs
+from repro.reference import run_job as reference_run_job
 from repro.runtime.machine import Job, Machine, clear_comm_cache
 
 MB = 1024 * 1024
@@ -45,9 +46,12 @@ NODES = 64
 RANKS = 256
 
 
-def run_sweep(memoize: bool, vectorize: bool) -> tuple:
+def _job_run(machine, program, ranks):
+    return Job(machine, program, ranks).run()
+
+
+def run_sweep(run) -> tuple:
     """One full 64-node figure sweep; returns (wall time, last result)."""
-    set_vectorize(vectorize)
     clear_comm_cache()
     last = None
     start = time.perf_counter()
@@ -57,7 +61,7 @@ def run_sweep(memoize: bool, vectorize: bool) -> tuple:
             machine = Machine(NODES, mode=OperatingMode.VNM,
                               mem_config=NodeMemoryConfig().with_l3_size(
                                   l3_mb * MB))
-            last = Job(machine, program, RANKS, memoize=memoize).run()
+            last = run(machine, program, RANKS)
     return time.perf_counter() - start, last
 
 
@@ -75,21 +79,15 @@ def main() -> int:
     print(f"sweep: {points} points ({NODES} nodes, {RANKS} ranks, VNM)")
     set_jobs(1)
 
-    try:
-        baseline_s, baseline_r = run_sweep(memoize=False, vectorize=False)
-        print(f"baseline (scalar, no memoization): {baseline_s:.2f}s")
-        engine_s, engine_r = run_sweep(memoize=True, vectorize=False)
-        print(f"engine (memoized, scalar): {engine_s:.2f}s "
-              f"-> {baseline_s / engine_s:.2f}x")
-        vector_s, vector_r = run_sweep(memoize=True, vectorize=True)
-        print(f"vector (memoized, matrix passes): {vector_s:.2f}s "
-              f"-> {baseline_s / vector_s:.2f}x")
-    finally:
-        set_vectorize(True)
+    baseline_s, baseline_r = run_sweep(reference_run_job)
+    print(f"baseline (reference oracle): {baseline_s:.2f}s")
+    vector_s, vector_r = run_sweep(_job_run)
+    print(f"vector (job engine, matrix passes): {vector_s:.2f}s "
+          f"-> {baseline_s / vector_s:.2f}x")
 
     dumps = [json.dumps(r.to_dict(), sort_keys=True)
-             for r in (baseline_r, engine_r, vector_r)]
-    identical = dumps[0] == dumps[1] == dumps[2]
+             for r in (baseline_r, vector_r)]
+    identical = dumps[0] == dumps[1]
     print(f"last sweep point byte-identical across legs: {identical}")
     if not identical:
         print("FAIL: engine legs disagree", file=sys.stderr)
@@ -98,16 +96,13 @@ def main() -> int:
     record = benchlib.make_record(
         benchmark="64-node figure sweep "
                   "(8 NPB kernels x 5 L3 sizes, 256 ranks, VNM)",
-        legs={"baseline": baseline_s, "engine": engine_s,
-              "vector": vector_s},
+        legs={"baseline": baseline_s, "vector": vector_s},
         headline=("baseline", "vector"),
         identical=identical,
         details={
             "nodes": NODES,
             "ranks": RANKS,
             "sweep_points": points,
-            "engine_speedup": round(baseline_s / engine_s, 2),
-            "vector_over_engine": round(engine_s / vector_s, 2),
         })
     benchlib.write_record(record, args.out)
     return 0 if benchlib.check_gate(record, args.gate) else 1

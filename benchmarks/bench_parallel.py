@@ -1,17 +1,19 @@
-"""Benchmark the parallel + memoized engine; record BENCH_parallel.json.
+"""Benchmark the parallel sweep engine; record BENCH_parallel.json.
 
 Runs the paper's 64-node figure sweep (all eight class-C NPB kernels
 across the five Figure-11 L3 sizes, 256 ranks in VNM) twice:
 
-* **baseline** — the legacy engine (``Job(..., memoize=False)``, one
-  worker): every node simulated separately, every communication phase
-  costed from scratch — the pre-engine behavior;
-* **engine** — node-equivalence memoization + the cross-job comm-phase
-  cache, with ``--jobs 4`` workers available to the class fan-out.
+* **baseline** — the reference oracle (:func:`repro.reference.run_job`,
+  one worker): every node simulated separately, every communication
+  phase costed from scratch;
+* **engine** — the job engine (``Job.run``: node-equivalence classes +
+  the cross-job comm-phase cache), with the 40 sweep points fanned out
+  over ``--jobs 4`` workers by :func:`repro.parallel.parallel_map`.
 
-Both legs produce byte-identical counter dumps (the engine tests assert
-this); the benchmark records the wall-clock ratio plus the engine's
-cache statistics into ``BENCH_parallel.json`` at the repo root.
+Both legs must produce byte-identical results for every point; the
+benchmark records the wall-clock ratio plus the engine's cache
+statistics (summed over the workers) into ``BENCH_parallel.json`` at
+the repo root.
 
 Run with::
 
@@ -20,6 +22,7 @@ Run with::
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
@@ -33,7 +36,8 @@ from repro.mem import NodeMemoryConfig
 from repro.node import OperatingMode
 from repro.npb import BENCHMARK_ORDER
 from repro.obs import metrics
-from repro.parallel import set_jobs
+from repro.parallel import parallel_map, set_jobs
+from repro.reference import run_job as reference_run_job
 from repro.runtime.machine import Job, Machine, clear_comm_cache
 
 MB = 1024 * 1024
@@ -42,18 +46,31 @@ RANKS = 256
 JOBS = 4
 
 
-def run_sweep(memoize: bool) -> float:
-    """One full 64-node figure sweep; returns the wall time."""
-    clear_comm_cache()
+def _machine(l3_mb: int) -> Machine:
+    return Machine(NODES, mode=OperatingMode.VNM,
+                   mem_config=NodeMemoryConfig().with_l3_size(l3_mb * MB))
+
+
+def run_point(code: str, l3_mb: int) -> str:
+    """Pool target: one sweep point through the job engine."""
+    result = Job(_machine(l3_mb), compiled_benchmark(code, O5()),
+                 RANKS).run()
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def points():
+    return [(code, l3_mb) for code in BENCHMARK_ORDER
+            for l3_mb in PAPER_L3_SIZES_MB]
+
+
+def run_baseline() -> tuple:
+    """The whole sweep through the reference oracle, one worker."""
     start = time.perf_counter()
-    for code in BENCHMARK_ORDER:
-        program = compiled_benchmark(code, O5())
-        for l3_mb in PAPER_L3_SIZES_MB:
-            machine = Machine(NODES, mode=OperatingMode.VNM,
-                              mem_config=NodeMemoryConfig().with_l3_size(
-                                  l3_mb * MB))
-            Job(machine, program, RANKS, memoize=memoize).run()
-    return time.perf_counter() - start
+    results = [json.dumps(reference_run_job(
+                   _machine(l3_mb), compiled_benchmark(code, O5()),
+                   RANKS).to_dict(), sort_keys=True)
+               for code, l3_mb in points()]
+    return time.perf_counter() - start, results
 
 
 def counter_value(name: str) -> int:
@@ -61,36 +78,43 @@ def counter_value(name: str) -> int:
 
 
 def main() -> int:
-    points = len(BENCHMARK_ORDER) * len(PAPER_L3_SIZES_MB)
-    print(f"sweep: {points} points ({NODES} nodes, {RANKS} ranks, VNM)")
+    print(f"sweep: {len(points())} points ({NODES} nodes, {RANKS} ranks, "
+          "VNM)")
 
     set_jobs(1)
-    baseline = run_sweep(memoize=False)
-    print(f"baseline (legacy engine, 1 worker): {baseline:.2f}s")
+    baseline, baseline_r = run_baseline()
+    print(f"baseline (reference oracle, 1 worker): {baseline:.2f}s")
 
-    set_jobs(JOBS)
+    clear_comm_cache()
     before = {name: counter_value(name) for name in (
         "runtime.node_classes", "runtime.node_class_hits",
         "runtime.comm_cache_hits", "runtime.comm_cache_misses")}
-    engine = run_sweep(memoize=True)
-    set_jobs(1)
-    stats = {name.split(".", 1)[1]: counter_value(name) - start
-             for name, start in before.items()}
+    start = time.perf_counter()
+    engine_r = parallel_map(run_point, points(), jobs=JOBS,
+                            label="bench_points")
+    engine = time.perf_counter() - start
+    stats = {name.split(".", 1)[1]: counter_value(name) - start_value
+             for name, start_value in before.items()}
     speedup = baseline / engine if engine else 0.0
-    print(f"engine (memoized, --jobs {JOBS}): {engine:.2f}s "
+    print(f"engine (job engine, {JOBS} workers): {engine:.2f}s "
           f"-> {speedup:.2f}x")
+    identical = engine_r == baseline_r
+    print(f"all points byte-identical across legs: {identical}")
+    if not identical:
+        print("FAIL: engines disagree", file=sys.stderr)
+        return 1
 
     record = benchlib.make_record(
         benchmark="64-node figure sweep "
                   "(8 NPB kernels x 5 L3 sizes, 256 ranks, VNM), "
-                  f"--jobs {JOBS}",
+                  f"points over {JOBS} workers",
         legs={"baseline": baseline, "engine": engine},
         headline=("baseline", "engine"),
-        identical=True,  # asserted layer by layer in tests/
+        identical=identical,
         details={
             "nodes": NODES,
             "ranks": RANKS,
-            "sweep_points": points,
+            "sweep_points": len(points()),
             "jobs": JOBS,
             "engine_stats": stats,
         })

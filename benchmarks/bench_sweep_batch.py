@@ -4,10 +4,11 @@
 Runs the paper's 64-node figure sweep (all eight class-C NPB kernels
 across the five Figure-11 L3 sizes, 256 ranks in VNM) three ways:
 
-* **baseline** — the legacy engine: ``Job(..., memoize=False)`` with
-  the scalar model paths, one point at a time;
+* **baseline** — the reference oracle (:func:`repro.reference.run_job`):
+  every node simulated on the scalar model paths, no caches, one point
+  at a time;
 * **vector** — the per-point engine every prior benchmark gated on:
-  node-equivalence memoization, comm-phase cache, batched NumPy model
+  node-equivalence classes, comm-phase cache, batched NumPy model
   passes — still one ``Job.run`` per sweep point;
 * **batch** — :func:`repro.harness.batch.run_points` over the same 40
   points: node classes deduplicate *across* points, the surviving
@@ -16,9 +17,6 @@ across the five Figure-11 L3 sizes, 256 ranks in VNM) three ways:
 
 All three legs must agree byte-for-byte on **every** point (not just
 the last one); the benchmark asserts it before writing any timing.
-The record also documents the worker-payload shrink from hoisting the
-invariant per-job context into the pool initializer (``shared=``):
-what one node-class task pickles now vs what it pickled before.
 
 Run with::
 
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import sys
 import time
 
@@ -47,13 +44,9 @@ from repro.harness.sweep import (  # noqa: E402
 from repro.mem import NodeMemoryConfig  # noqa: E402
 from repro.node import OperatingMode  # noqa: E402
 from repro.npb import BENCHMARK_ORDER  # noqa: E402
-from repro.parallel import set_jobs, set_vectorize  # noqa: E402
-from repro.runtime.machine import (  # noqa: E402
-    Job,
-    Machine,
-    _program_to_work,
-    clear_comm_cache,
-)
+from repro.parallel import set_jobs  # noqa: E402
+from repro.reference import run_job as reference_run_job  # noqa: E402
+from repro.runtime.machine import Job, Machine, clear_comm_cache  # noqa: E402
 
 MB = 1024 * 1024
 NODES = 64
@@ -66,9 +59,12 @@ def sweep_configs():
             yield code, l3_mb
 
 
-def run_per_point(memoize: bool, vectorize: bool) -> tuple:
-    """One figure sweep through per-point ``Job.run`` calls."""
-    set_vectorize(vectorize)
+def _job_run(machine, program, ranks):
+    return Job(machine, program, ranks).run()
+
+
+def run_per_point(run) -> tuple:
+    """One figure sweep, one ``run(machine, program, ranks)`` per point."""
     clear_comm_cache()
     results = []
     start = time.perf_counter()
@@ -77,8 +73,7 @@ def run_per_point(memoize: bool, vectorize: bool) -> tuple:
         machine = Machine(NODES, mode=OperatingMode.VNM,
                           mem_config=NodeMemoryConfig().with_l3_size(
                               l3_mb * MB))
-        results.append(Job(machine, program, RANKS,
-                           memoize=memoize).run())
+        results.append(run(machine, program, RANKS))
     return time.perf_counter() - start, results
 
 
@@ -90,7 +85,6 @@ def run_batched() -> tuple:
     measures the bigger 64-node/256-rank sweep every prior BENCH
     record used, so the numbers stay comparable.
     """
-    set_vectorize(True)
     clear_comm_cache()
     points = [PointSpec(program=compiled_benchmark(code, O5()),
                         mode=OperatingMode.VNM, num_ranks=RANKS,
@@ -101,19 +95,6 @@ def run_batched() -> tuple:
     start = time.perf_counter()
     results = run_points(points)
     return time.perf_counter() - start, results
-
-
-def payload_note() -> dict:
-    """Node-class task payload: before vs after the ``shared=`` hoist."""
-    program = compiled_benchmark("cg", O5())
-    machine = Machine(NODES, mode=OperatingMode.VNM)
-    work = _program_to_work(program)
-    residents = 4
-    before = len(pickle.dumps(
-        (machine.mode, machine.mem_config, work, residents, True)))
-    after = len(pickle.dumps((residents,)))
-    return {"before_bytes": before, "after_bytes": after,
-            "shrink": round(before / after, 1) if after else None}
 
 
 def main(argv=None) -> int:
@@ -134,17 +115,15 @@ def main(argv=None) -> int:
     set_jobs(1)
 
     try:
-        baseline_s, baseline_r = run_per_point(memoize=False,
-                                               vectorize=False)
-        print(f"baseline (scalar, per point): {baseline_s:.2f}s")
-        vector_s, vector_r = run_per_point(memoize=True, vectorize=True)
-        print(f"vector (memoized, per point): {vector_s:.2f}s "
+        baseline_s, baseline_r = run_per_point(reference_run_job)
+        print(f"baseline (reference oracle, per point): {baseline_s:.2f}s")
+        vector_s, vector_r = run_per_point(_job_run)
+        print(f"vector (job engine, per point): {vector_s:.2f}s "
               f"-> {baseline_s / vector_s:.2f}x")
         batch_s, batch_r = run_batched()
         print(f"batch (one cross-point pass): {batch_s:.2f}s "
               f"-> {baseline_s / batch_s:.2f}x")
     finally:
-        set_vectorize(True)
         clear_comm_cache()
 
     identical = benchlib.sweep_identity([baseline_r, vector_r, batch_r])
@@ -166,7 +145,6 @@ def main(argv=None) -> int:
             "sweep_points": points,
             "vector_speedup": round(baseline_s / vector_s, 2),
             "batch_over_vector": round(vector_s / batch_s, 2),
-            "node_class_task_payload": payload_note(),
         })
     benchlib.write_record(record, args.out)
 

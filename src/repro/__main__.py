@@ -70,7 +70,7 @@ from .harness import (
 )
 from .obs import kv, metrics, setup_logging, tracer
 from .obs import timeline as obs_timeline
-from .parallel import set_batch_sweep, set_jobs, set_vectorize
+from .parallel import set_batch_sweep, set_jobs
 
 
 def main(argv=None) -> int:
@@ -106,9 +106,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=1,
                         metavar="N",
                         help="worker processes for independent sweep "
-                             "points and node equivalence classes "
-                             "(default 1: fully serial, deterministic "
-                             "and byte-identical results)")
+                             "points (default 1: fully serial; results "
+                             "are byte-identical for any N)")
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help="record simulator spans; write Chrome/"
                              "Perfetto trace.json, spans.jsonl and "
@@ -126,12 +125,6 @@ def main(argv=None) -> int:
                              "groups list'); with --sample-every the "
                              "group's event list is what gets sampled "
                              "(default: BGP_BASE)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="run the scalar (per-stream / per-message "
-                             "/ per-thread) model engines instead of "
-                             "the batched NumPy passes; results are "
-                             "byte-identical either way (also: "
-                             "REPRO_VECTORIZE=0)")
     parser.add_argument("--batch-sweep", action="store_true",
                         help="evaluate whole sweeps as one cross-point "
                              "batched pass: node equivalence classes "
@@ -175,8 +168,6 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     set_jobs(args.jobs)
-    if args.no_vectorize:
-        set_vectorize(False)
     if args.batch_sweep:
         set_batch_sweep(True)
     if args.pin_figures and not args.shared_cache:
@@ -422,9 +413,6 @@ def _serve_main(argv) -> int:
                         help="serve under this performance group "
                              "(part of every cache key; default "
                              "BGP_BASE)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="serve with the scalar model engines "
-                             "(also part of every cache key)")
     parser.add_argument("--batch-sweep", action="store_true",
                         help="serve sweep requests through the "
                              "cross-point batched engine (byte-"
@@ -444,8 +432,6 @@ def _serve_main(argv) -> int:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if not 0 <= args.port <= 65535:
         parser.error(f"--port must be in [0, 65535], got {args.port}")
-    if args.no_vectorize:
-        set_vectorize(False)
     if args.group:
         from . import groups as groups_mod
         try:

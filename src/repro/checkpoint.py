@@ -32,10 +32,9 @@ protections make that safe:
 :class:`SharedCacheTier` builds the service's cache on top: an
 LRU-bounded (record-count and byte caps, hits refresh recency) store
 whose keys are expected to be *context-qualified* — the memo layer in
-:mod:`repro.parallel` folds the active performance group, the
-``set_vectorize`` engine switch and :data:`CACHE_SCHEMA_VERSION` into
-every persisted key, so a schema bump or an engine toggle can never
-serve a stale payload.  One process-wide tier can be installed
+:mod:`repro.parallel` folds the active performance group and
+:data:`CACHE_SCHEMA_VERSION` into every persisted key, so a schema
+bump or a group switch can never serve a stale payload.  One process-wide tier can be installed
 (:func:`install_shared_tier`); the job engine consults it for comm
 phases and node classes, and the serve layer for whole responses.
 """
@@ -68,10 +67,11 @@ _TIER_PINNED = _metrics.counter("checkpoint.tier.pins")
 #: Version of the persisted-record key schema.  Folded into every
 #: context-qualified cache key (see ``repro.parallel.cache_context``),
 #: so changing what a payload means only requires bumping this — old
-#: records simply stop matching instead of being misread.  Version 2
+#: records simply stop matching instead of being misread.  Version 3
+#: drops the retired engine switch from the key context; version 2
 #: keys node-class records on the lowered work's fingerprint; version
 #: 1 keyed them on the program name, which aliased different scales.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Seconds a writer waits for a contended per-record lock before
 #: giving up (a record write is milliseconds; this is ~1000x slack).

@@ -18,7 +18,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..parallel import get_vectorize
 from .dump import DumpFormatError, NodeDump, read_dump
 from .events import COUNTERS_PER_MODE, EVENTS_BY_ID, EVENTS_BY_NAME, Event
 
@@ -108,29 +107,10 @@ class Aggregation:
             self.nodes_by_mode.setdefault(d.mode, []).append(d.node_id)
             by_mode.setdefault(d.mode, []).append(d)
         self.stats: Dict[str, CounterStats] = {}
-        if get_vectorize():
-            # first-seen mode order, counters ascending: the same stats
-            # insertion order the per-value loop produces
-            for mode, group in by_mode.items():
-                self._stats_for_mode_vector(mode, group, set_id)
-            return
-        per_event_values: Dict[int, List[int]] = {}
-        for d in dumps:
-            arr = d.deltas(set_id)
-            base = d.mode * COUNTERS_PER_MODE
-            for counter in range(COUNTERS_PER_MODE):
-                per_event_values.setdefault(base + counter, []).append(
-                    int(arr[counter]))
-        for event_id, values in per_event_values.items():
-            ev = EVENTS_BY_ID[event_id]
-            self.stats[ev.name] = CounterStats(
-                event=ev,
-                minimum=min(values),
-                maximum=max(values),
-                mean=float(np.mean(values)),
-                total=int(sum(values)),
-                node_count=len(values),
-            )
+        # first-seen mode order, counters ascending: the same stats
+        # insertion order the per-value loop of the reference produces
+        for mode, group in by_mode.items():
+            self._stats_for_mode_vector(mode, group, set_id)
 
     #: exact-integer ceiling for float64: column means can be computed
     #: as total / n only while the exact total is below this
@@ -138,7 +118,8 @@ class Aggregation:
 
     def _stats_for_mode_vector(self, mode: int, group: Sequence[NodeDump],
                                set_id: int) -> None:
-        """Batched per-mode statistics; byte-identical to the scalar loop.
+        """Batched per-mode statistics; byte-identical to the per-value
+        loop of :func:`repro.reference.aggregate`.
 
         Mins/maxes/totals are integer-exact axis reductions (totals via
         a 32-bit split so uint64 column sums cannot wrap).  A column
@@ -147,7 +128,7 @@ class Aggregation:
         representable integer, so any summation order (including
         np.mean's pairwise one) yields the same value.  Columns at or
         above that limit fall back to np.mean over the same value list
-        the scalar path builds.
+        the per-value loop builds.
         """
         matrix = np.stack([d.deltas(set_id) for d in group])
         n = matrix.shape[0]

@@ -23,16 +23,16 @@ This module exploits that:
   so the engine accumulates named counts into per-node ``uint64`` rows
   and hands synthetic :class:`~repro.core.dump.NodeDump` records to the
   unchanged :class:`~repro.core.postprocess.Aggregation` — no UPC
-  objects, no dump files, no re-simulated members;
-* with ``--jobs N`` the per-point assembly stage fans out over the
-  pool with the heavy NumPy payloads (comm matrices, class event
-  vectors) placed in one :class:`repro.parallel.SharedArrayBlock` —
-  workers attach the block once and each task ships only a point index.
+  objects, no dump files, no re-simulated members.
+
+Assembly stays in the calling process at any ``--jobs N``: a point
+assembles in milliseconds, so a pool never paid for its start-up and
+transport (DESIGN.md, "Where parallelism pays").
 
 The engine is wired in behind :func:`repro.parallel.set_batch_sweep`
 (the ``--batch-sweep`` flag) as a :func:`repro.parallel.warm` batch
-handler; the per-point path remains the identity oracle and
-``tests/test_harness_batch.py`` pins byte-identical results.
+handler.  ``tests/test_harness_batch.py`` pins its results byte-identical
+to the per-point ``Job.run`` path and to :func:`repro.reference.run_job`.
 """
 
 from __future__ import annotations
@@ -65,14 +65,7 @@ from ..node import ComputeNode, OperatingMode
 from ..obs import metrics as _metrics
 from ..obs import timeline as _timeline
 from ..obs.tracer import span as _span
-from ..parallel import (
-    SharedArrayBlock,
-    cache_context,
-    get_batch_sweep,
-    get_jobs,
-    parallel_map,
-    worker_shared,
-)
+from ..parallel import cache_context, get_batch_sweep
 from ..runtime import machine as _machine
 from ..runtime.machine import JobResult, _program_to_work
 from ..runtime.mpi import CommResult, SimMPI
@@ -159,7 +152,7 @@ def available() -> bool:
     The engine reproduces the *clean-run* semantics of ``Job.run``
     exactly; anything that perturbs or observes a run point-by-point —
     fault injection, timeline sampling, open marker regions — falls
-    back to the per-point oracle.
+    back to the per-point path.
     """
     if not get_batch_sweep():
         return False
@@ -323,81 +316,52 @@ def _dump_io_cycles(num_nodes: int, used_nodes: Sequence[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# point assembly (runs in the parent, or as a pool task per point)
+# point assembly
 # ---------------------------------------------------------------------------
 @lru_cache(maxsize=64)
 def _cached_placement(num_ranks: int, mode_name: str, num_nodes: int):
     """Block placement, shared across the points of one layout.
 
     Placement is deterministic, so every point of a layout group (and
-    every ``JobResult`` of that group) can hold the same object; the
-    worker-side cache likewise amortises it across a worker's tasks.
+    every ``JobResult`` of that group) can hold the same object.
     """
     return place_ranks(num_ranks, OperatingMode[mode_name], num_nodes)
 
 
-def _assemble_point(meta: Dict[str, Any],
-                    array_of: Callable[[str], np.ndarray]) -> JobResult:
-    """Build one point's ``JobResult`` from the planned tables.
-
-    ``meta`` holds only small picklable values; the heavy arrays (the
-    group's comm-side counter matrix and the class event vectors) come
-    through ``array_of`` — a plain dict lookup in the serial path, a
-    shared-memory attach under the pool.
-    """
-    mode = OperatingMode[meta["mode"]]
-    placement = _cached_placement(meta["num_ranks"], meta["mode"],
-                                  meta["num_nodes"])
-    used_nodes = sorted(placement.slots_by_node())
-    matrix = array_of(meta["comm_array"]).copy()
-    for vec_name, indices in meta["adds"]:
-        vec = array_of(vec_name)
-        matrix[np.asarray(indices, dtype=np.intp)] += vec
-    node_modes = meta["node_modes"]
+def _assemble_point(point: PointSpec, layout: _Layout,
+                    group: Dict[str, Any],
+                    adds: Sequence[Tuple[np.ndarray, np.ndarray]],
+                    cycles_by_residents: Dict[int, List[float]]
+                    ) -> JobResult:
+    """Build one point's ``JobResult``: its comm group's counter rows,
+    plus each node class's event row added to that class's nodes."""
+    matrix = group["comm_matrix"].copy()
+    for row, indices in adds:
+        matrix[indices] += row
+    node_modes = group["node_modes"]
     dumps = [NodeDump(node_id=node_id, mode=node_modes[i],
                       clock_hz=CORE_CLOCK_HZ, sets={0: matrix[i]})
-             for i, node_id in enumerate(used_nodes)]
-    aggregation = Aggregation(dumps, set_id=0)
+             for i, node_id in enumerate(layout.used_nodes)]
 
-    compute_cycles = [0.0] * meta["num_ranks"]
-    cycles_by_residents = meta["cycles_by_residents"]
-    for node_id in used_nodes:
+    placement = layout.placement
+    compute_cycles = [0.0] * point.num_ranks
+    for node_id in layout.used_nodes:
         residents = placement.ranks_on_node(node_id)
         cycles = cycles_by_residents[len(residents)]
         for slot, rank in enumerate(residents):
             compute_cycles[rank] = cycles[slot]
-    comm_cycles = meta["comm_cycles"]
-    elapsed = max(c + comm_cycles for c in compute_cycles)
+    comm_cycles = group["comm_cycles"]
     return JobResult(
-        program_name=meta["program_name"],
-        flags_label=meta["flags_label"],
-        mode=mode,
+        program_name=point.program.name,
+        flags_label=point.program.flags_label,
+        mode=point.mode,
         placement=placement,
-        elapsed_cycles=elapsed,
+        elapsed_cycles=max(c + comm_cycles for c in compute_cycles),
         compute_cycles_per_rank=compute_cycles,
         comm_cycles_per_rank=comm_cycles,
-        aggregation=aggregation,
-        dump_io_cycles=meta["dump_io"],
+        aggregation=Aggregation(dumps, set_id=0),
+        dump_io_cycles=group["dump_io"],
     )
-
-
-#: Worker-side cache of the attached shared block (one per batch; the
-#: mapping lives until the pool retires the worker).
-_ATTACHED: Dict[str, SharedArrayBlock] = {}
-
-
-def _assemble_point_task(index: int) -> JobResult:
-    """Pool target: assemble one point from the shared batch tables."""
-    payload = worker_shared()
-    header = payload["header"]
-    block = _ATTACHED.get(header["block"])
-    if block is None:
-        for stale in _ATTACHED.values():  # a previous batch's mapping
-            stale.close()
-        _ATTACHED.clear()
-        block = SharedArrayBlock.attach(header)
-        _ATTACHED[header["block"]] = block
-    return _assemble_point(payload["metas"][index], block.array)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +370,9 @@ def _assemble_point_task(index: int) -> JobResult:
 def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
     """Run every sweep point through the cross-point batched engine.
 
-    Byte-identical to running each point through ``Job.run`` with the
-    memoized engine — same results, same shared-tier records under the
-    same keys, same runtime counters — but with the cross-point
+    Byte-identical to running each point through ``Job.run`` — same
+    results, same shared-tier records under the same keys, same runtime
+    counters — but with the cross-point
     redundancy removed and each model stage advanced as one stacked
     pass over all surviving class representatives.
     """
@@ -477,9 +441,8 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
         # exactly as a per-point sweep's would
         groups: Dict[Tuple, Dict[str, Any]] = {}
         class_owner: Dict[Tuple, int] = {}
-        metas: List[Dict[str, Any]] = []
-        arrays: Dict[str, np.ndarray] = {}
-        vec_names: Dict[Tuple[Tuple, int], str] = {}
+        assemblies: List[Tuple] = []
+        class_rows: Dict[Tuple[Tuple, int], np.ndarray] = {}
         for p_index, point in enumerate(points):
             lkey = (point.num_ranks, point.mode.name, point.num_nodes)
             layout = layouts[lkey]
@@ -494,10 +457,6 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                 counts, comm_cycles = _comm_side_counts(
                     layout, phases, point.mode)
                 node_modes = layout.counter_modes(*point.counter_modes)
-                comm_array = f"comm{len(groups)}"
-                arrays[comm_array] = np.stack(
-                    [_counts_to_row(counts[i], node_modes[i])
-                     for i in range(len(layout.used_nodes))])
                 # node indices that share one (residents, counter-mode)
                 # row update, shared by every point of this group
                 index_groups: Dict[Tuple[int, int], List[int]] = {}
@@ -505,10 +464,14 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                     pair = (layout.residents[i], node_modes[i])
                     index_groups.setdefault(pair, []).append(i)
                 group = groups[gkey] = {
-                    "comm_array": comm_array,
+                    "comm_matrix": np.stack(
+                        [_counts_to_row(counts[i], node_modes[i])
+                         for i in range(len(layout.used_nodes))]),
                     "comm_cycles": comm_cycles,
                     "node_modes": node_modes,
-                    "index_groups": index_groups,
+                    "index_groups": {
+                        pair: np.asarray(indices, dtype=np.intp)
+                        for pair, indices in index_groups.items()},
                     "dump_io": _dump_io_cycles(point.num_nodes,
                                                layout.used_nodes),
                 }
@@ -530,36 +493,22 @@ def run_points(points: Sequence[PointSpec]) -> List[JobResult]:
                         # point just persisted is a tier hit per point
                         _CLASS_TIER_HITS.inc()
 
-            adds: List[Tuple[str, List[int]]] = []
+            adds = []
             for (residents, counter_mode), indices in (
                     group["index_groups"].items()):
                 key = by_residents[residents]
-                vec_name = vec_names.get((key, counter_mode))
-                if vec_name is None:
-                    vec_name = f"vec{len(vec_names)}"
-                    vec_names[(key, counter_mode)] = vec_name
-                    arrays[vec_name] = _counts_to_row(
+                row = class_rows.get((key, counter_mode))
+                if row is None:
+                    row = class_rows[(key, counter_mode)] = _counts_to_row(
                         class_results[key][1], counter_mode)
-                adds.append((vec_name, indices))
-            metas.append({
-                "program_name": point.program.name,
-                "flags_label": point.program.flags_label,
-                "mode": point.mode.name,
-                "num_ranks": point.num_ranks,
-                "num_nodes": point.num_nodes,
-                "comm_array": group["comm_array"],
-                "comm_cycles": group["comm_cycles"],
-                "node_modes": group["node_modes"],
-                "dump_io": group["dump_io"],
-                "adds": adds,
-                "cycles_by_residents": {
-                    residents: list(class_results[key][0])
-                    for residents, key in by_residents.items()},
-            })
+                adds.append((row, indices))
+            assemblies.append((point, layout, group, adds, {
+                residents: list(class_results[key][0])
+                for residents, key in by_residents.items()}))
 
         # ---- stage 4: assemble every point ----------------------------
         with _span("batch.assemble", points=len(points)):
-            results = _assemble_all(metas, arrays)
+            results = [_assemble_point(*parts) for parts in assemblies]
         sweep_span.set("classes", len(class_specs))
         sweep_span.set("stacked", len(pending))
     return results
@@ -624,31 +573,6 @@ def _simulate_classes(pending: Sequence[Tuple],
                                     plans[i], compute)
         class_results[key] = (result.process_cycles, result.events)
         _NODE_RUNS.inc()
-
-
-def _assemble_all(metas: List[Dict[str, Any]],
-                  arrays: Dict[str, np.ndarray]) -> List[JobResult]:
-    """Assemble all points, fanning out over the pool when allowed.
-
-    Under the pool the arrays move through one shared-memory block:
-    the initializer payload carries the attach header plus the small
-    metas, and each task pickles a bare index — no NumPy bytes cross
-    the result pipe in either direction except the final statistics.
-    """
-    if get_jobs() > 1 and len(metas) > 1:
-        block = SharedArrayBlock.create(
-            [(name, arr.shape, arr.dtype) for name, arr in arrays.items()])
-        try:
-            for name, arr in arrays.items():
-                block.array(name)[...] = arr
-            return parallel_map(
-                _assemble_point_task,
-                [(index,) for index in range(len(metas))],
-                label="batch_points",
-                shared={"header": block.header(), "metas": metas})
-        finally:
-            block.unlink()
-    return [_assemble_point(meta, arrays.__getitem__) for meta in metas]
 
 
 # ---------------------------------------------------------------------------

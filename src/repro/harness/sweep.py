@@ -162,8 +162,8 @@ def attach_runner_store(store) -> None:
     ``store`` is any :class:`~repro.checkpoint.CheckpointStore`
     (including the service's LRU-bounded
     :class:`~repro.checkpoint.SharedCacheTier`).  Persisted keys are
-    context-qualified by the memo layer — active performance group,
-    ``set_vectorize`` state, cache schema version — so one directory
+    context-qualified by the memo layer — active performance group and
+    cache schema version — so one directory
     can safely serve many processes and configurations at once.
     """
     for runner in _RESUMABLE:

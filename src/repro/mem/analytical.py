@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import metrics as _metrics
-from ..parallel import get_vectorize
 from .address import AccessKind, AccessPattern, StreamAccess
 from .cache import CacheConfig
 from .prefetch import PrefetcherConfig, analytical_coverage
@@ -432,16 +431,14 @@ def analyze_loop(streams: Sequence[StreamAccess], traversals: int,
 
 
 def analyze_loops(loops: Sequence[tuple], config: HierarchyConfig,
-                  engine: Optional[str] = None) -> LoopMemoryResult:
+                  engine: str = "vector") -> LoopMemoryResult:
     """Aggregate :func:`analyze_loop` over ``(streams, traversals)`` pairs.
 
-    ``engine`` forces ``"scalar"`` (the per-stream oracle) or
-    ``"vector"`` (:func:`analyze_loops_batch`); the default follows
-    :func:`repro.parallel.get_vectorize`.  Both engines are
-    byte-identical (see ``tests/test_machine_vec.py``).
+    ``engine`` is ``"vector"`` (:func:`analyze_loops_batch`, the
+    default) or ``"scalar"`` (the per-stream loop the reference oracle
+    runs).  Both engines are byte-identical (see
+    ``tests/test_machine_vec.py``).
     """
-    if engine is None:
-        engine = "vector" if get_vectorize() else "scalar"
     if engine not in ("scalar", "vector"):
         raise ValueError(f"unknown analysis engine {engine!r}")
     if engine == "vector":

@@ -19,12 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs.tracer import span as _span
-from ..parallel import get_vectorize
 from .address import AccessPattern, StreamAccess
 from .analytical import (
     HierarchyConfig,
     LoopMemoryResult,
-    analyze_loops,
     analyze_loops_batch,
 )
 
@@ -116,17 +114,12 @@ class NodeMemoryModel:
             capacity_sharing=self.config.capacity_sharing,
         )
 
-    def derive_profile(self, loops: ProcessLoops,
-                       fair_share: float) -> ProcessMemoryProfile:
-        """Intensity + thrash pressure of one process at a fair share."""
-        result = analyze_loops(loops, self._hierarchy_config(fair_share))
-        return self._profile_from(loops, result)
-
-    def _profile_from(self, loops: ProcessLoops,
-                      fair_result: LoopMemoryResult,
-                      unbounded: Optional[LoopMemoryResult] = None
+    def _profile_from(self, fair_result: LoopMemoryResult,
+                      unbounded: Optional[LoopMemoryResult]
                       ) -> ProcessMemoryProfile:
-        """The profile formula, given the fair-share analysis result."""
+        """Intensity + thrash pressure of one process, from its analyses
+        at the fair share and at an unbounded share (the latter is only
+        read, and only needed, when the process touches the L3)."""
         intensity = fair_result.l3.accesses
         if intensity == 0:
             return ProcessMemoryProfile(intensity=0.0, thrash_fraction=0.0)
@@ -136,9 +129,6 @@ class NodeMemoryModel:
         # repeatedly evict neighbours' lines, and sequential streams'
         # one-touch lines age out quickly; random/strided re-reference
         # patterns are what genuinely pollute a shared cache.
-        if unbounded is None:
-            unbounded = analyze_loops(loops,
-                                      self._hierarchy_config(1 << 40))
         capacity_misses = max(0.0, fair_result.l3_nonseq_misses
                               - unbounded.l3_nonseq_misses)
         thrash = min(1.0, capacity_misses / intensity)
@@ -152,49 +142,35 @@ class NodeMemoryModel:
         fair_results = analyze_loops_batch(
             [(p, fair_cfg) for p in processes])
         # the unbounded pass only runs for processes with L3 traffic —
-        # the scalar path skips it when intensity == 0, and the metric
-        # counters (mem.loop_evals) must agree between engines
+        # the profile never reads it otherwise
         active = [i for i, r in enumerate(fair_results)
                   if r.l3.accesses != 0]
         unb_cfg = self._hierarchy_config(1 << 40)
         unb_results = dict(zip(active, analyze_loops_batch(
             [(processes[i], unb_cfg) for i in active]))) if active else {}
-        return [
-            self._profile_from(p, fair_results[i],
-                               unbounded=unb_results.get(i))
-            for i, p in enumerate(processes)
-        ]
+        return [self._profile_from(fair_results[i], unb_results.get(i))
+                for i in range(len(processes))]
 
     def analyze(self, processes: Sequence[ProcessLoops]
                 ) -> NodeMemoryResult:
         """Full node analysis of the co-resident processes' loop sets.
 
-        With the vectorized engine on (:func:`repro.parallel.
-        get_vectorize`), the per-process fair-share, unbounded and
-        final-share analyses each run as one batched array pass over
-        every process at once; results are byte-identical to the scalar
-        per-process path.
+        The per-process fair-share, unbounded and final-share analyses
+        each run as one batched array pass over every process at once;
+        :func:`repro.reference.analyze_memory` is the per-process twin
+        they are byte-identical to.
         """
         if not processes:
             raise ValueError("no processes on the node")
         _NODE_ANALYSES.inc()
         n = len(processes)
-        vector = get_vectorize()
         with _span("mem.analyze", processes=n):
-            fair = (self.config.l3.size_bytes / n) if n else 0.0
-            if vector:
-                profiles = self._profiles_vector(processes, fair)
-            else:
-                profiles = [self.derive_profile(p, fair)
-                            for p in processes]
+            fair = self.config.l3.size_bytes / n
+            profiles = self._profiles_vector(processes, fair)
             shares = self.l3_model.capacity_shares(profiles)
             out = NodeMemoryResult(shares=shares)
             cfgs = [self._hierarchy_config(share) for share in shares]
-            if vector:
-                finals = analyze_loops_batch(list(zip(processes, cfgs)))
-            else:
-                finals = [analyze_loops(loops, cfg, engine="scalar")
-                          for loops, cfg in zip(processes, cfgs)]
+            finals = analyze_loops_batch(list(zip(processes, cfgs)))
             for i, (result, cfg) in enumerate(zip(finals, cfgs)):
                 inflation = self.l3_model.miss_inflation(i, profiles)
                 self._apply_inflation(result, inflation, cfg)
@@ -307,8 +283,8 @@ def analyze_nodes_batch(models: Sequence[NodeMemoryModel],
                 rows.append((m, loops))
                 fair_pairs.append((loops, fair_cfg))
         fair_results = analyze_loops_batch(fair_pairs)
-        # unbounded pass only for rows with L3 traffic (the scalar and
-        # per-node vector paths skip it when intensity == 0)
+        # unbounded pass only for rows with L3 traffic (the per-node
+        # path skips it when intensity == 0 too)
         active = [i for i, r in enumerate(fair_results)
                   if r.l3.accesses != 0]
         unb_results: Dict[int, LoopMemoryResult] = {}
@@ -325,9 +301,8 @@ def analyze_nodes_batch(models: Sequence[NodeMemoryModel],
         for model, processes in zip(models, node_processes):
             n = len(processes)
             profiles = [
-                model._profile_from(rows[cursor + j][1],
-                                    fair_results[cursor + j],
-                                    unbounded=unb_results.get(cursor + j))
+                model._profile_from(fair_results[cursor + j],
+                                    unb_results.get(cursor + j))
                 for j in range(n)]
             shares = model.l3_model.capacity_shares(profiles)
             cfgs = [model._hierarchy_config(share) for share in shares]

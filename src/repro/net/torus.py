@@ -27,9 +27,8 @@ is an exact integer; the one float sum, ``hop_cycles``, is an exact
 integer product whenever :meth:`TorusNetwork.hop_cycles_exact` holds
 and an ordered per-message replay otherwise), enforced by the
 randomized identity suites in ``tests/test_machine_vec.py`` and
-``tests/test_comm_flows.py``.  :meth:`TorusNetwork.run_phase`
-dispatches on the process-wide engine switch
-(:func:`repro.parallel.get_vectorize`).
+``tests/test_comm_flows.py``.  :meth:`TorusNetwork.run_phase` picks
+between them by phase size.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import numpy as np
 
 from ..obs import metrics as _metrics
 from ..obs.tracer import span as _span
-from ..parallel import get_vectorize
 from .topology import DIRECTION_NAMES, TorusTopology
 
 _PHASES = _metrics.counter("net.torus_phases")
@@ -160,12 +158,10 @@ class TorusNetwork:
 
         ``engine`` forces ``"scalar"`` or ``"vector"``; the default
         picks the vectorized engine for phases large enough to amortise
-        its setup when :func:`repro.parallel.get_vectorize` is on.
-        Both engines return byte-identical results.
+        its setup.  Both engines return byte-identical results.
         """
         if engine is None:
-            engine = ("vector" if get_vectorize()
-                      and len(messages) >= _VECTOR_MIN_MESSAGES
+            engine = ("vector" if len(messages) >= _VECTOR_MIN_MESSAGES
                       else "scalar")
         if engine not in ("scalar", "vector"):
             raise ValueError(f"unknown phase engine {engine!r}")

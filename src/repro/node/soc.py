@@ -17,14 +17,12 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.counters import CompiledEvents, UPCUnit
-from ..core.events import EVENTS_BY_NAME
 from ..cpu import CoreExecution, PPC450Core, PipelineModel
 from ..isa import InstructionMix, OpClass
 from ..mem import NodeMemoryConfig, NodeMemoryModel, StreamAccess
 from ..mem.analytical import LoopMemoryResult, analyze_loop
 from ..obs import metrics as _metrics
 from ..obs.tracer import span as _span
-from ..parallel import get_vectorize
 from .modes import OperatingMode
 
 _NODE_RUNS = _metrics.counter("node.runs")
@@ -176,7 +174,7 @@ class ComputeNode:
 
     def _compute_totals(self, plans: Sequence[tuple]) -> List[float]:
         """Raw compute cycles for each plan row (pipeline timing only)."""
-        if get_vectorize() and len(plans) > 1:
+        if len(plans) > 1:
             # ComputeNode builds its cores with one shared pipeline
             # configuration, so a single batched call covers them all
             matrix = np.stack([plan[3].as_vector() for plan in plans])
@@ -283,20 +281,11 @@ class ComputeNode:
         lands as a single vectorised add where the unit allows it.
         """
         if isinstance(events, CompiledEvents):
-            if get_vectorize():
-                self.upc.pulse_compiled(events)
-                return
-            events = events.events
-        elif get_vectorize():
+            self.upc.pulse_compiled(events)
+        else:
             self.upc.pulse_many({name: count
                                  for name, count in events.items()
                                  if count > 0})
-            return
-        for name, count in events.items():
-            if count <= 0:
-                continue
-            if name in EVENTS_BY_NAME:
-                self.upc.pulse(name, count)
 
 
 def _scale_memory(result: LoopMemoryResult,

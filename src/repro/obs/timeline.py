@@ -10,11 +10,11 @@ in the style of ScALPEL / SUPReMM / LIKWID job telemetry:
   :class:`~repro.core.monitor.CounterMonitor` is attached to every
   monitored node, sampling a configurable event set every
   ``sample_every`` simulated cycles;
-* the memoized engine samples **one representative per node-equivalence
+* the job engine samples **one representative per node-equivalence
   class** and replicates the compute-phase series to the class members
   (via :meth:`CounterMonitor.fork`), exactly as counter deltas are
-  replicated — per-node series are byte-identical to the legacy
-  ``memoize=False`` engine;
+  replicated — per-node series are byte-identical to the reference
+  oracle (:func:`repro.reference.run_job`), which samples every node;
 * the per-node series roll up into a :class:`JobTimeline`: per-event
   min/mean/max/percentile bands across nodes, load-imbalance statistics,
   phase-change anomaly flags, threshold-interrupt alert streams, and

@@ -6,9 +6,9 @@ and most of them repeat work (SPMD placement gives most nodes
 byte-identical compute).  This module supplies the two mechanisms the
 rest of the codebase composes to exploit that:
 
-* a **process-pool fan-out** (:func:`parallel_map`) used by the job
-  engine across distinct node equivalence classes and by the harness
-  across independent sweep points, gated by a process-wide worker count
+* a **process-pool fan-out** (:func:`parallel_map`) used by the
+  harness across independent sweep points, gated by a process-wide
+  worker count
   (:func:`set_jobs` / the ``--jobs N`` CLI flag, default 1 so every
   result stays deterministic and byte-identical to the serial path);
 * a **memoization layer** (:func:`memoized` + :func:`warm`) that caches
@@ -67,8 +67,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from .obs import metrics as _metrics
 from .obs import tracer as _tracer
 from .obs.logging import get_logger, kv
@@ -122,32 +120,6 @@ def get_jobs() -> int:
     return _jobs
 
 
-def _vectorize_from_env() -> bool:
-    """The ``REPRO_VECTORIZE`` default (on unless explicitly disabled)."""
-    raw = os.environ.get("REPRO_VECTORIZE", "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-#: Process-wide model-engine switch: True routes the analytical memory
-#: hierarchy, torus phase accounting and pipeline timing through their
-#: batched NumPy implementations; False keeps the scalar oracles (the
-#: pre-vectorization behaviour, used for baselines and identity tests).
-#: Both engines are byte-identical by construction — the identity
-#: suites in ``tests/test_machine_vec.py`` enforce it.
-_vectorize = _vectorize_from_env()
-
-
-def set_vectorize(on: bool) -> None:
-    """Select the model engine: vectorized (True) or scalar oracle."""
-    global _vectorize
-    _vectorize = bool(on)
-
-
-def get_vectorize() -> bool:
-    """Whether the vectorized model engines are active."""
-    return _vectorize
-
-
 def _batch_sweep_from_env() -> bool:
     """The ``REPRO_BATCH_SWEEP`` default (off unless explicitly on)."""
     raw = os.environ.get("REPRO_BATCH_SWEEP", "").strip().lower()
@@ -181,8 +153,7 @@ def cache_context() -> Tuple:
     shared cache tier, so a record written under one configuration can
     never be served under another: the cache-record schema version
     (bumped when payload semantics change), the active performance
-    group (``--group`` changes what a sampled run produces), and the
-    model-engine switch (``set_vectorize`` / ``REPRO_VECTORIZE``).
+    group (``--group`` changes what a sampled run produces).
     In-memory memo dicts stay keyed by plain argument tuples — they
     die with the process, where the context cannot silently change
     between writer and reader.
@@ -190,8 +161,7 @@ def cache_context() -> Tuple:
     from .checkpoint import CACHE_SCHEMA_VERSION
     from .groups import get_active_group_name
     return (("schema", CACHE_SCHEMA_VERSION),
-            ("group", get_active_group_name()),
-            ("vectorize", _vectorize))
+            ("group", get_active_group_name()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,159 +210,22 @@ class TaskTimeoutError(TimeoutError):
     """A pool task exceeded its per-attempt timeout on every attempt."""
 
 
-# ---------------------------------------------------------------------------
-# worker initializer state (invariant context, shipped once per worker)
-# ---------------------------------------------------------------------------
-#: The invariant context installed by ``parallel_map(..., shared=...)``.
-#: Per-worker under the pool (set by the initializer, once), and set
-#: around the serial loop so ``fn`` reads it identically either way.
-_worker_shared: Any = None
+def _pool_worker_init(batch_sweep: bool, group: str) -> None:
+    """Pool initializer: install the parent's mutable module state.
 
-
-def worker_shared() -> Any:
-    """The invariant context of the current ``parallel_map`` batch.
-
-    Pool targets whose every task shares a large constant payload (a
-    lowered program, a node configuration) read it from here instead of
-    having it re-pickled into each task's argument tuple: the parent
-    passes it once via ``parallel_map(..., shared=...)`` and the worker
-    initializer installs it before the first task runs.
+    Spawned (or long-lived, possibly stale) workers do not share it, so
+    the sweep-engine switch and the active performance group travel in
+    the initializer arguments — once per worker, not once per task.
     """
-    return _worker_shared
-
-
-def _set_worker_shared(value: Any) -> Any:
-    global _worker_shared
-    previous = _worker_shared
-    _worker_shared = value
-    return previous
-
-
-def _worker_payload(shared: Any) -> Dict[str, Any]:
-    """Everything a fresh pool worker must inherit from the parent.
-
-    Spawned (or long-lived, possibly stale) workers do not share the
-    parent's mutable module state, so the engine switches and the
-    active performance group travel in the initializer payload — once
-    per worker, not once per task.
-    """
-    from .groups import get_active_group_name
-    return {
-        "vectorize": _vectorize,
-        "batch_sweep": _batch_sweep,
-        "group": get_active_group_name(),
-        "shared": shared,
-    }
-
-
-def _pool_worker_init(payload: Dict[str, Any]) -> None:
-    """Pool initializer: install the parent's invariant context once."""
-    global _worker_shared
     set_jobs(1)
-    set_vectorize(payload["vectorize"])
-    set_batch_sweep(payload["batch_sweep"])
-    _worker_shared = payload["shared"]
+    set_batch_sweep(batch_sweep)
     try:
         from .groups import set_active_group
-        set_active_group(payload["group"])
+        set_active_group(group)
     except Exception:
         # a user group loaded from a file path may not resolve by name
         # here; forked workers already inherited it with the fork
         pass
-
-
-# ---------------------------------------------------------------------------
-# zero-copy array transport (multiprocessing.shared_memory + header)
-# ---------------------------------------------------------------------------
-class SharedArrayBlock:
-    """Named NumPy arrays laid out in one shared-memory block.
-
-    The batched sweep engine moves (nodes x counters) matrices between
-    the parent and its pool workers; pickling them through the task
-    result pipe would serialise and copy every byte.  Instead the
-    parent allocates one block, ships the small header (block name plus
-    per-array shape/dtype/offset) with the task, and workers attach and
-    write the arrays in place — the pickled result shrinks to a few
-    scalars.  The creator owns the block and must :meth:`unlink` it.
-    """
-
-    _ALIGN = 64
-
-    def __init__(self, shm, arrays: Dict[str, Tuple], owner: bool):
-        self._shm = shm
-        self._arrays = arrays
-        self._owner = owner
-
-    @classmethod
-    def create(cls, layout: Sequence[Tuple]) -> "SharedArrayBlock":
-        """Allocate a block holding ``(name, shape, dtype)`` arrays."""
-        from multiprocessing import shared_memory
-        arrays: Dict[str, Tuple] = {}
-        offset = 0
-        for name, shape, dtype in layout:
-            dt = np.dtype(dtype)
-            shape = tuple(int(s) for s in shape)
-            size = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-            offset = -(-offset // cls._ALIGN) * cls._ALIGN
-            arrays[str(name)] = (shape, dt.str, offset)
-            offset += size
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        return cls(shm, arrays, owner=True)
-
-    def header(self) -> Dict[str, Any]:
-        """The picklable attach token (block name + array layout)."""
-        return {"block": self._shm.name, "arrays": dict(self._arrays)}
-
-    @classmethod
-    def attach(cls, header: Dict[str, Any]) -> "SharedArrayBlock":
-        """Map an existing block from its header (worker side)."""
-        from multiprocessing import shared_memory
-        try:
-            # 3.13+: never register with the resource tracker — the
-            # creating process owns the segment's lifetime
-            shm = shared_memory.SharedMemory(name=header["block"],
-                                             track=False)
-        except TypeError:
-            shm = shared_memory.SharedMemory(name=header["block"])
-            # older interpreters register every attach; under fork (and
-            # forkserver) the workers share the parent's tracker, whose
-            # name set dedupes the extra registrations and is cleared by
-            # the creator's unlink — unregistering here as well would
-            # race it.  Only a spawn worker owns a private tracker that
-            # must be told to leave the segment alone.
-            import multiprocessing
-            if multiprocessing.get_start_method() == "spawn":
-                try:
-                    from multiprocessing import resource_tracker
-                    resource_tracker.unregister(shm._name, "shared_memory")
-                except Exception:  # pragma: no cover - best effort
-                    pass
-        return cls(shm, dict(header["arrays"]), owner=False)
-
-    def array(self, name: str) -> "np.ndarray":
-        """A writable ndarray view of one named array."""
-        shape, dtype, offset = self._arrays[name]
-        return np.ndarray(shape, dtype=np.dtype(dtype),
-                          buffer=self._shm.buf, offset=offset)
-
-    def names(self) -> List[str]:
-        return list(self._arrays)
-
-    def close(self) -> None:
-        """Drop this process's mapping (always safe)."""
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a view is still alive
-            pass
-
-    def unlink(self) -> None:
-        """Free the block (creator only; attached views become invalid)."""
-        self.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
 
 def _timed_call(fn: Callable, args: Tuple,
@@ -408,8 +241,7 @@ def _timed_call(fn: Callable, args: Tuple,
     parent to merge.
     """
     # forked workers inherit the parent's _jobs > 1; a task that itself
-    # calls parallel_map (e.g. Job.run fanning node classes inside a
-    # sweep-point task) must stay serial or it nests process pools and
+    # calls parallel_map must stay serial or it nests process pools and
     # oversubscribes the machine
     set_jobs(1)
     _metrics.REGISTRY.reset()
@@ -458,14 +290,13 @@ class _PoolRun:
 
     def __init__(self, fn: Callable, argtuples: Sequence[Tuple],
                  workers: int, trace: bool, label: str,
-                 policy: Resilience, payload: Optional[Dict] = None):
+                 policy: Resilience):
         self.fn = fn
         self.argtuples = argtuples
         self.workers = workers
         self.trace = trace
         self.label = label
         self.policy = policy
-        self.payload = _worker_payload(None) if payload is None else payload
         self.results: Dict[int, Any] = {}
         self.attempts = [0] * len(argtuples)
         self.busy = 0.0
@@ -476,9 +307,10 @@ class _PoolRun:
     def _spawn_pool(self) -> ProcessPoolExecutor:
         # every worker — first spawn and post-crash respawns alike —
         # inherits the invariant batch context exactly once
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   initializer=_pool_worker_init,
-                                   initargs=(self.payload,))
+        from .groups import get_active_group_name
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_pool_worker_init,
+            initargs=(_batch_sweep, get_active_group_name()))
 
     # ------------------------------------------------------------------
     def run(self) -> Tuple[List[Any], float]:
@@ -654,8 +486,7 @@ class _PoolRun:
 def parallel_map(fn: Callable, argtuples: Sequence[Tuple],
                  jobs: Optional[int] = None,
                  label: str = "map",
-                 resilience: Optional[Resilience] = None,
-                 shared: Any = None) -> List[Any]:
+                 resilience: Optional[Resilience] = None) -> List[Any]:
     """Ordered map of ``fn`` over argument tuples, pooled when allowed.
 
     With ``jobs`` (default: the process-wide setting) at 1, or fewer
@@ -670,22 +501,12 @@ def parallel_map(fn: Callable, argtuples: Sequence[Tuple],
     obs state were merged and pending work was cancelled.  ``fn`` must
     be a module-level function and every argument and result must
     pickle.
-
-    ``shared`` carries context that is invariant across the whole
-    batch (a lowered program, a node configuration): it is pickled once
-    into each worker's initializer instead of once per task, and ``fn``
-    reads it back via :func:`worker_shared` — on the serial path it is
-    installed around the loop so both paths see the same state.
     """
     argtuples = list(argtuples)
     jobs = _jobs if jobs is None else jobs
     if jobs <= 1 or len(argtuples) <= 1:
         _SERIAL_TASKS.inc(len(argtuples))
-        previous = _set_worker_shared(shared)
-        try:
-            return [fn(*args) for args in argtuples]
-        finally:
-            _set_worker_shared(previous)
+        return [fn(*args) for args in argtuples]
     policy = _resilience if resilience is None else resilience
     workers = min(jobs, len(argtuples))
     _POOL_MAPS.inc()
@@ -694,7 +515,7 @@ def parallel_map(fn: Callable, argtuples: Sequence[Tuple],
                workers=workers) as map_span:
         start = time.perf_counter()
         runner = _PoolRun(fn, argtuples, workers, _tracer.enabled(),
-                          label, policy, payload=_worker_payload(shared))
+                          label, policy)
         results, busy = runner.run()
         wall = time.perf_counter() - start
         utilization = busy / (wall * workers) if wall > 0 else 0.0
@@ -829,10 +650,10 @@ class MemoizedFunction:
         """The on-disk record key: context-qualified.
 
         The persisted key folds in :func:`cache_context` — the active
-        performance group, the ``set_vectorize`` engine state and the
-        cache schema version — so a disk-seeded cache can never serve
-        a record written under ``--group BGP_MEM`` or a different
-        engine toggle to a run that would produce something else.
+        performance group and the cache schema version — so a
+        disk-seeded cache can never serve a record written under
+        ``--group BGP_MEM`` or an older payload schema to a run that
+        would produce something else.
         """
         return (cache_context(), key)
 

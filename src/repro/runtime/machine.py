@@ -48,13 +48,7 @@ from .. import markers as _markers
 from ..obs import metrics as _metrics
 from ..obs import timeline as _timeline
 from ..obs.tracer import span as _span
-from ..parallel import (
-    cache_context,
-    get_jobs,
-    parallel_map,
-    set_vectorize,
-    worker_shared,
-)
+from ..parallel import cache_context
 from .mpi import CommResult, SimMPI
 from .process import JobPlacement, place_ranks
 
@@ -130,44 +124,6 @@ def _program_to_work(program: Program) -> ProcessWork:
         for loop in program.loops()
     ]
     return ProcessWork(loops=loops)
-
-
-def _simulate_node_class(mode: OperatingMode,
-                         mem_config: NodeMemoryConfig,
-                         work: ProcessWork,
-                         residents: int,
-                         vectorize: bool = True
-                         ) -> Tuple[List[float], Dict[str, int]]:
-    """Pool target: simulate one node equivalence class from scratch.
-
-    Builds a throwaway node with the class's configuration, runs the
-    class's work, and returns only what the job engine replicates to the
-    class members: the per-slot compute cycles and the named counter
-    pulses.  ``vectorize`` carries the parent's engine switch across
-    the process-pool boundary (workers inherit only the env default).
-    """
-    set_vectorize(vectorize)
-    node = ComputeNode(node_id=0, mode=mode, mem_config=mem_config)
-    result = node.run([work] * residents)
-    return result.process_cycles, result.events
-
-
-def _simulate_node_class_shared(residents: int
-                                ) -> Tuple[List[float], Dict[str, int]]:
-    """Pool target: simulate one node class from hoisted batch context.
-
-    The class context that is invariant across one job's fan-out — the
-    operating mode, the memory configuration and the lowered program
-    work — is shipped once per worker via ``parallel_map(shared=...)``
-    and read back here, so each task's pickled payload is just the
-    resident count (a few dozen bytes instead of the multi-kilobyte
-    lowered program; ``BENCH_sweep_batch.json`` records the before and
-    after sizes).  The engine switches travel in the same initializer.
-    """
-    mode, mem_config, work = worker_shared()
-    node = ComputeNode(node_id=0, mode=mode, mem_config=mem_config)
-    result = node.run([work] * residents)
-    return result.process_cycles, result.events
 
 
 @dataclass
@@ -308,13 +264,12 @@ class JobResult:
 class Job:
     """One SPMD application run on a machine partition.
 
-    ``memoize`` controls the execution engine: when True (default)
-    nodes are grouped into equivalence classes and each class is
-    simulated once, with counter deltas replicated to the members, and
-    communication phases are reused from the cross-job comm cache; when
-    False every node is simulated separately and every phase is costed
-    from scratch (the legacy path, kept for baseline benchmarking and
-    for verifying the memoized engine's results are identical).
+    Nodes are grouped into equivalence classes: each class is simulated
+    once and its counter deltas are replicated to the members, and
+    communication phases are reused from the cross-job comm cache.  The
+    stages are the private hooks below; :mod:`repro.reference` overrides
+    them with the scalar, cache-free oracle that the identity suites
+    compare this engine against.
 
     ``sample_every`` turns on job-level telemetry: a monitoring thread
     (:class:`repro.obs.timeline.NodeTimelineSampler`) is attached to
@@ -326,7 +281,6 @@ class Job:
     """
 
     def __init__(self, machine: Machine, program: Program, num_ranks: int,
-                 memoize: bool = True,
                  sample_every: Optional[int] = None):
         if num_ranks > machine.max_ranks:
             raise ValueError(
@@ -336,7 +290,6 @@ class Job:
         self.machine = machine
         self.program = program
         self.num_ranks = num_ranks
-        self.memoize = memoize
         self.sample_every = sample_every
 
     def run(self, counter_modes: Tuple[int, int] = (0, 2),
@@ -360,6 +313,50 @@ class Job:
         finally:
             _STAGING.checkin(staging)
 
+    # ------------------------------------------------------------------
+    # stage hooks
+    # ------------------------------------------------------------------
+    def _class_key(self, node_id: int, residents: int,
+                   job_key: Tuple) -> Tuple:
+        """Node-class key: SPMD placement gives every resident rank the
+        same work, so nodes with equal resident counts compute alike."""
+        return (residents,) + job_key
+
+    def _shared_tier(self, fault_ctx):
+        """The cross-process tier to consult, or None.  Fault-injected
+        runs bypass it in both directions so perturbed state never
+        poisons it."""
+        return _checkpoint.get_shared_tier() if fault_ctx is None else None
+
+    def _simulate_class(self, node: ComputeNode, work: ProcessWork,
+                        residents: int) -> Tuple[List[float],
+                                                 Dict[str, int]]:
+        """Run one class representative; it pulses its own counters."""
+        result = node.run([work] * residents)
+        return result.process_cycles, result.events
+
+    def _mpi(self, placement: JobPlacement) -> SimMPI:
+        machine = self.machine
+        return SimMPI(placement, machine.topology, machine.torus,
+                      machine.collective, machine.barrier)
+
+    def _comm_key(self, comm_ops: List) -> Optional[Tuple]:
+        """Key of the cross-job comm cache (None: cost every phase).
+
+        A comm phase is a pure function of (ops, rank count, mode,
+        partition size), independent of the memory configuration, so
+        L3/prefetch sweep points of one benchmark share an entry."""
+        machine = self.machine
+        return (tuple(comm_ops), self.num_ranks, machine.mode.name,
+                machine.num_nodes)
+
+    def _pulse(self, node: ComputeNode, events) -> None:
+        node.pulse_events(events)
+
+    def _aggregate(self, session: CounterSession) -> Aggregation:
+        return session.aggregation()
+
+    # ------------------------------------------------------------------
     def _run(self, counter_modes: Tuple[int, int], dump_dir: str,
              keep_dumps: bool) -> JobResult:
         machine = self.machine
@@ -390,17 +387,15 @@ class Job:
                  machine.mem_config.l3.size_bytes))
 
         # job-level telemetry: one shadow sampler per monitored node,
-        # created per node class below so the memoized engine samples
-        # each class representative once and replicates the series
+        # created per node class below so each class representative
+        # samples once and the members branch its series
         sampling = _timeline.resolve_config(self.sample_every)
         samplers: Dict[int, _timeline.NodeTimelineSampler] = {}
 
         # ---- compute: one simulation per node equivalence class -------
-        # SPMD placement gives every resident rank the same work, so two
-        # nodes with the same configuration and resident count perform
-        # byte-identical compute.  Simulate each class once and replicate
-        # the counter deltas to the other members via pulse_events —
-        # O(classes) node simulations instead of O(nodes).
+        # simulate each class once and replicate the counter deltas to
+        # the other members via pulse_events — O(classes) node
+        # simulations instead of O(nodes)
         work = _program_to_work(self.program)
         compute_cycles: List[float] = [0.0] * self.num_ranks
         # keyed on the lowered work itself: one program name covers
@@ -408,21 +403,16 @@ class Job:
         job_key = (work.fingerprint(), machine.mode.name,
                    machine.mem_config)
         with _span("phase.compute", nodes=len(nodes)) as compute_span:
+            node_keys: Dict[int, Tuple] = {}
             classes: Dict[Tuple, List[ComputeNode]] = {}
             for node in nodes:
-                residents = placement.ranks_on_node(node.node_id)
-                if self.memoize:
-                    key = (len(residents),) + job_key
-                else:  # legacy: every node is its own class
-                    key = (len(residents), node.node_id) + job_key
+                key = node_keys[node.node_id] = self._class_key(
+                    node.node_id,
+                    len(placement.ranks_on_node(node.node_id)), job_key)
                 classes.setdefault(key, []).append(node)
             keys = list(classes)
             simulated: Dict[int, bool] = {}
-            # the shared tier (when installed) persists node-class
-            # results across processes; fault-injected runs bypass it
-            # in both directions so perturbed state never poisons it
-            tier = (_checkpoint.get_shared_tier()
-                    if self.memoize and fault_ctx is None else None)
+            tier = self._shared_tier(fault_ctx)
             tier_ctx = cache_context() if tier is not None else None
             class_results: Dict[Tuple, Tuple[List[float],
                                              Dict[str, int]]] = {}
@@ -438,23 +428,11 @@ class Job:
                         _CLASS_TIER_HITS.inc()
                     else:
                         pending.append(key)
-            if get_jobs() > 1 and len(pending) > 1:
-                # fan the distinct classes out over the process pool;
-                # every member (including the representative) gets the
-                # replicated deltas afterwards
-                outs = parallel_map(
-                    _simulate_node_class_shared,
-                    [(key[0],) for key in pending],
-                    label="node_classes",
-                    shared=(machine.mode, machine.mem_config, work))
-                class_results.update(zip(pending, outs))
-            else:
-                for key in pending:
-                    representative = classes[key][0]
-                    result = representative.run([work] * key[0])
-                    class_results[key] = (result.process_cycles,
-                                          result.events)
-                    simulated[representative.node_id] = True
+            for key in pending:
+                representative = classes[key][0]
+                class_results[key] = self._simulate_class(
+                    representative, work, key[0])
+                simulated[representative.node_id] = True
             if tier is not None:
                 for key in pending:
                     cycles, events = class_results[key]
@@ -474,16 +452,13 @@ class Job:
                     # node_failure raises NodeFailure out of the job
                     fault_ctx.visit_node(node, phase="compute")
                 residents = placement.ranks_on_node(node.node_id)
-                if self.memoize:
-                    key = (len(residents),) + job_key
-                else:
-                    key = (len(residents), node.node_id) + job_key
+                key = node_keys[node.node_id]
                 cycles, events = class_results[key]
                 if not simulated.get(node.node_id):
                     rows = compiled.get(key)
                     if rows is None:
                         rows = compiled[key] = CompiledEvents(events)
-                    node.pulse_events(rows)
+                    self._pulse(node, rows)
                 for slot, rank in enumerate(residents):
                     compute_cycles[rank] = cycles[slot]
                 if sampling is not None:
@@ -508,17 +483,11 @@ class Job:
             compute_span.set("replicated", len(nodes) - len(keys))
 
         # ---- communication: phase by phase on the networks ------------
-        # phase costs are pure functions of (ops, placement, partition),
-        # independent of the memory configuration, so sweep points that
-        # differ only in L3/prefetch settings replay the cached phases
-        mpi = SimMPI(placement, machine.topology, machine.torus,
-                     machine.collective, machine.barrier)
+        mpi = self._mpi(placement)
         comm_ops = list(self.program.comms())
-        comm_key: Optional[Tuple] = None
+        comm_key = self._comm_key(comm_ops)
         cached_phases = None
-        if self.memoize:
-            comm_key = (tuple(comm_ops), self.num_ranks,
-                        machine.mode.name, machine.num_nodes)
+        if comm_key is not None:
             cached_phases = _COMM_CACHE.get(comm_key)
             if cached_phases is None and tier is not None:
                 payload = tier.get("machine.comm_phase",
@@ -561,10 +530,10 @@ class Job:
             comm_cycles += comm.cycles_per_rank + stall
             for node_id, events in comm.torus_events.items():
                 if node_id in used_node_set:
-                    machine.nodes[node_id].pulse_events(events)
+                    self._pulse(machine.nodes[node_id], events)
             if comm.collective_events:
                 for node in nodes:
-                    node.pulse_events(comm.collective_events)
+                    self._pulse(node, comm.collective_events)
             for node_id, lines in comm.ddr_lines_per_node.items():
                 comm_ddr[node_id] = comm_ddr.get(node_id, 0) + lines
             if samplers:
@@ -610,7 +579,7 @@ class Job:
 
         # message staging traffic: split lines across the controllers
         for node_id, lines in comm_ddr.items():
-            machine.nodes[node_id].pulse_events({
+            self._pulse(machine.nodes[node_id], {
                 "BGP_DDR0_WRITE": lines // 2,
                 "BGP_DDR1_READ": lines - lines // 2,
             })
@@ -623,14 +592,13 @@ class Job:
                 # one merged delivery per node: the per-slot cores are
                 # disjoint, so the counter state is identical to a
                 # pulse per core
-                node.pulse_events(
-                    {f"BGP_PU{core}_CYCLES": comm_int
-                     for slot in range(len(residents))
-                     for core in assignment[slot]})
+                self._pulse(node, {f"BGP_PU{core}_CYCLES": comm_int
+                                   for slot in range(len(residents))
+                                   for core in assignment[slot]})
 
-        with _span("phase.dump", files=len(session.dump_paths)
-                   ) as dump_span:
+        with _span("phase.dump") as dump_span:
             session.mpi_finalize()
+            dump_span.set("files", len(session.dump_paths))
             dump_bytes = [0] * machine.num_nodes
             for path in session.dump_paths:
                 node_id = int(path.rsplit("node", 1)[1].split(".")[0])
@@ -674,7 +642,7 @@ class Job:
             elapsed_cycles=elapsed,
             compute_cycles_per_rank=compute_cycles,
             comm_cycles_per_rank=comm_cycles,
-            aggregation=session.aggregation(),
+            aggregation=self._aggregate(session),
             dump_paths=session.dump_paths if keep_dumps else [],
             dump_io_cycles=dump_io,
             timeline=timeline,

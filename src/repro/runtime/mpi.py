@@ -39,7 +39,6 @@ from ..net import (
 )
 from ..net.topology import partition_shape
 from ..net.torus import first_occurrence
-from ..parallel import get_vectorize
 from .process import JobPlacement
 
 #: Cycles of software overhead for an intra-node (shared-memory) message.
@@ -119,6 +118,9 @@ class CommResult:
 
 class SimMPI:
     """Lower CommOps to messages and cost them on the networks."""
+
+    #: torus phase engine of the per-message path (None: by phase size)
+    _phase_engine: Optional[str] = None
 
     def __init__(self, placement: JobPlacement, topology: TorusTopology,
                  torus: TorusNetwork, collective: CollectiveNetwork,
@@ -299,7 +301,8 @@ class SimMPI:
                 for node in (src_node, dst_node):
                     result.ddr_lines_per_node[node] = (
                         result.ddr_lines_per_node.get(node, 0) + lines)
-        phase = self.torus.run_phase(torus_messages, balanced=balanced)
+        phase = self.torus.run_phase(torus_messages, balanced=balanced,
+                                     engine=self._phase_engine)
         intra_max = max(intra_cycles_per_rank.values(), default=0.0)
         return phase, intra_max
 
@@ -365,7 +368,7 @@ class SimMPI:
             return result
 
         balanced = op.kind is CommKind.ALLTOALL
-        flows = self._message_arrays(op) if get_vectorize() else None
+        flows = self._message_arrays(op)
         if flows is not None:
             phase, intra_max = self._cost_arrays(flows, balanced, result)
         else:

@@ -10,7 +10,7 @@ experiment ids are a 400, never a worker crash.
 Caching contract: every valid request has a **canonical form** — a
 minimal, key-sorted JSON document — and its cache key is that document
 qualified by :func:`repro.parallel.cache_context` (active performance
-group, ``set_vectorize`` engine state, cache schema version).  Two
+group, cache schema version).  Two
 requests with the same canonical form under the same context are
 byte-identical by construction, so the service can answer the second
 one straight from the shared tier.
@@ -197,8 +197,8 @@ def request_cache_key(canonical: Mapping) -> Tuple:
     """The shared-tier key of one request: canonical form + context.
 
     The context (:func:`repro.parallel.cache_context`) folds in the
-    active performance group, the vectorize engine switch and the
-    cache schema version, so a response cached under one configuration
+    active performance group and the cache schema version, so a
+    response cached under one configuration
     is invisible under any other.
     """
     return (cache_context(), canonical_json(canonical))

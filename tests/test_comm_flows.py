@@ -30,7 +30,7 @@ from repro.net import (
 from repro.net import torus as torus_mod
 from repro.net.torus import Message, TorusConfig
 from repro.node.modes import OperatingMode
-from repro.parallel import get_vectorize, set_vectorize
+from repro.reference import ReferenceMPI
 from repro.runtime.mpi import SimMPI
 from repro.runtime.process import place_ranks
 
@@ -40,10 +40,9 @@ LATENCIES = (55.0, 7.0, 55.3, 0.1, float(2**52 + 1))
 
 
 @pytest.fixture(autouse=True)
-def _restore_engine():
-    before, block = get_vectorize(), torus_mod.ROUTE_BLOCK
+def _restore_route_block():
+    block = torus_mod.ROUTE_BLOCK
     yield
-    set_vectorize(before)
     torus_mod.ROUTE_BLOCK = block
 
 
@@ -89,10 +88,9 @@ ops = st.one_of(_comm_ops(CommKind.ALLTOALL), _comm_ops(CommKind.ALLTOALL),
                 _comm_ops(CommKind.HALO), _comm_ops(CommKind.PAIRWISE))
 
 
-def _cost(placement, topology, config, op, vectorize: bool) -> str:
-    set_vectorize(vectorize)
+def _cost(placement, topology, config, op, engine=SimMPI) -> str:
     nodes = topology.num_nodes
-    mpi = SimMPI(placement, topology, TorusNetwork(topology, config),
+    mpi = engine(placement, topology, TorusNetwork(topology, config),
                  CollectiveNetwork(nodes), BarrierNetwork(nodes))
     return json.dumps(mpi.run(op).to_dict())
 
@@ -106,8 +104,8 @@ def test_simmpi_flows_match_oracle(layout, op, block, latency):
     placement, topology = layout
     config = TorusConfig(hop_latency_cycles=latency)
     torus_mod.ROUTE_BLOCK = block
-    assert (_cost(placement, topology, config, op, True)
-            == _cost(placement, topology, config, op, False))
+    assert (_cost(placement, topology, config, op)
+            == _cost(placement, topology, config, op, ReferenceMPI))
 
 
 def test_alltoall_lowers_to_node_pairs_only_when_exact():
@@ -193,7 +191,6 @@ def test_alltoall_4096_ranks_memory_bounded():
     from repro.compiler import O5, compile_program
     from repro.npb import build_benchmark
 
-    set_vectorize(True)
     program = compile_program(
         build_benchmark("FT", num_ranks=4096, problem_class="C"), O5())
     op = next(op for op in program.comms() if op.kind is CommKind.ALLTOALL)

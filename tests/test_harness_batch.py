@@ -1,28 +1,35 @@
-"""Cross-point batched sweep engine vs the per-point oracle.
+"""Cross-point batched sweep engine vs the per-point path and the oracle.
 
-PR 5's discipline — every batched path keeps its scalar loop as the
-oracle and must match it *byte-identically* — applied one level up:
-``repro.harness.batch`` evaluates a whole sweep (many points, many L3
-geometries, mixed kernels and modes) as one stacked pass, and every
-test here compares it against the per-point path it replaces, down to
-the JSON bytes, the CSV bytes, the shared-tier record files and the
-telemetry counters.
+Every batched path must match its scalar twin *byte-identically*; here
+that is applied one level up.  ``repro.harness.batch`` evaluates a
+whole sweep (many points, many L3 geometries, mixed kernels and modes)
+as one stacked pass.  The randomized suite compares it and the
+per-point ``Job.run`` engine against :func:`repro.reference.run_job`;
+the other tests compare it against the per-point path it replaces,
+down to the JSON bytes, the CSV bytes, the shared-tier record files and
+the telemetry counters.
 """
 
+import dataclasses
+import functools
 import json
 import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import faults as faults_mod
 from repro import markers as _markers
+from repro import reference
 from repro.checkpoint import (
     SharedCacheTier,
     install_shared_tier,
     uninstall_shared_tier,
 )
-from repro.compiler import O3, O5
+from repro.compiler import O3, O5, compile_program, compiler_sweep
 from repro.groups import set_active_group
 from repro.harness import (
     PointSpec,
@@ -35,15 +42,13 @@ from repro.harness import (
 from repro.harness.batch import available, figure_working_set
 from repro.harness.experiments import fig11_l3_sweep
 from repro.harness.sweep import run_scaled_vnm, run_smp1, run_vnm
+from repro.mem import NodeMemoryConfig
 from repro.node import OperatingMode
+from repro.npb import build_benchmark
 from repro.obs import metrics as _metrics
 from repro.obs import timeline as obs_timeline
-from repro.parallel import (
-    set_batch_sweep,
-    set_jobs,
-    set_vectorize,
-    warm,
-)
+from repro.parallel import set_batch_sweep, set_jobs, warm
+from repro.runtime import Job, Machine
 
 KERNELS = ("cg", "mg", "ft", "lu", "sp", "is", "ep", "bt")
 
@@ -54,7 +59,6 @@ def _isolate():
     clear_caches()
     yield
     set_batch_sweep(False)
-    set_vectorize(True)
     set_jobs(1)
     detach_resume()
     set_active_group("BGP_BASE")
@@ -100,22 +104,135 @@ def _sample_calls(rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# identity: batched engine vs scalar per-point oracle
+# identity: Job.run and run_points vs the reference oracle
 # ---------------------------------------------------------------------------
+FLAG_SETS = compiler_sweep()
+MB = 1024 * 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _program(code: str, ranks: int, flags_index: int):
+    return compile_program(build_benchmark(code, ranks, "S"),
+                           FLAG_SETS[flags_index])
+
+
+def _point(code, ranks, flags_index, mode, extra_nodes, l3_mb, line_bytes,
+           banks, counter_modes) -> PointSpec:
+    base = NodeMemoryConfig()
+    l3 = dataclasses.replace(base.l3, size_bytes=l3_mb * MB,
+                             line_bytes=line_bytes, banks=banks)
+    needed = -(-ranks // mode.processes_per_node)
+    return PointSpec(program=_program(code, ranks, flags_index), mode=mode,
+                     num_ranks=ranks, num_nodes=needed + extra_nodes,
+                     mem_config=dataclasses.replace(base, l3=l3),
+                     counter_modes=counter_modes)
+
+
+@st.composite
+def point_specs(draw) -> PointSpec:
+    """One job: kernel, rank shape, partition, flags, L3 geometry and
+    counter modes, all drawn independently."""
+    code = draw(st.sampled_from(KERNELS))
+    # sp/bt insist on square process counts
+    ranks = draw(st.sampled_from((1, 4, 9)) if code in ("sp", "bt")
+                 else st.integers(1, 12))
+    return _point(code, ranks,
+                  draw(st.integers(0, len(FLAG_SETS) - 1)),
+                  draw(st.sampled_from(list(OperatingMode))),
+                  draw(st.integers(0, 2)),
+                  draw(st.sampled_from((0, 1, 2, 4, 8))),
+                  draw(st.sampled_from((64, 128, 256))),
+                  draw(st.sampled_from((1, 2, 4))),
+                  draw(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+
+
+def _dump_files(directory):
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def _series(timeline):
+    if timeline is None:
+        return None
+    return json.dumps({node_id: [node.mode, node.samples,
+                                 [a.to_dict() for a in node.alerts],
+                                 node.phases]
+                       for node_id, node in timeline.nodes.items()},
+                      sort_keys=True)
+
+
+def _run_one(run, spec, dump_dir, sample_every):
+    machine = Machine(spec.num_nodes, mode=spec.mode,
+                      mem_config=spec.mem_config)
+    return run(machine, spec.program, spec.num_ranks,
+               counter_modes=spec.counter_modes, dump_dir=dump_dir,
+               sample_every=sample_every)
+
+
+def _job_run(machine, program, num_ranks, counter_modes, dump_dir,
+             sample_every):
+    return Job(machine, program, num_ranks,
+               sample_every=sample_every).run(counter_modes, dump_dir)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(specs=st.lists(point_specs(), min_size=1, max_size=3),
+       keep_dumps=st.booleans(),
+       sample_every=st.sampled_from((None, 2_000_000)))
+@example(specs=[_point("mg", 7, 4, OperatingMode.DUAL, 1, 8, 128, 2,
+                       (0, 2)),
+                _point("mg", 7, 4, OperatingMode.DUAL, 1, 0, 128, 2,
+                       (0, 2))],
+         keep_dumps=True, sample_every=2_000_000)
+@example(specs=[_point("ft", 1, 0, OperatingMode.SMP4, 0, 2, 64, 1,
+                       (3, 3))],
+         keep_dumps=False, sample_every=None)
+def test_randomized_point_identity_vs_reference(specs, keep_dumps,
+                                                sample_every):
+    """Job.run per point and run_points over the whole batch both equal
+    the reference oracle: result JSON, dump bytes, sampled series."""
+    clear_caches()
+    oracle = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, spec in enumerate(specs):
+            dirs = [None, None]
+            if keep_dumps:
+                dirs = [os.path.join(tmp, f"{index}{tag}")
+                        for tag in ("ref", "job")]
+                for directory in dirs:
+                    os.mkdir(directory)
+            ref = _run_one(reference.run_job, spec, dirs[0], sample_every)
+            job = _run_one(_job_run, spec, dirs[1], sample_every)
+            assert _fingerprint(job) == _fingerprint(ref)
+            assert _series(job.timeline) == _series(ref.timeline)
+            if keep_dumps:
+                assert _dump_files(dirs[1]) == _dump_files(dirs[0])
+                assert len(ref.dump_paths) == len(job.dump_paths) > 0
+            oracle.append(_fingerprint(ref))
+    clear_caches()
+    assert [_fingerprint(r) for r in run_points(specs)] == oracle
+
+
+_SPEC_OF = {run_vnm: PointSpec.for_vnm, run_smp1: PointSpec.for_smp1,
+            run_scaled_vnm: PointSpec.for_scaled}
+
+
 @pytest.mark.parametrize("seed", [0xB6, 0xB7])
 def test_randomized_cross_point_identity(seed):
-    """Batched cross-point pass == per-point *scalar* oracle, byte-wise."""
+    """Batched cross-point pass over a mixed paper sweep == the
+    reference oracle on the same points, byte-wise."""
     calls = _sample_calls(random.Random(seed))
     set_batch_sweep(True)
     batched = _run_calls(calls)
 
     clear_caches()
-    set_batch_sweep(False)
-    set_vectorize(False)
-    try:
-        oracle = _run_calls(calls)
-    finally:
-        set_vectorize(True)
+    oracle = [_fingerprint(_run_one(reference.run_job,
+                                    _SPEC_OF[runner](*args), None, None))
+              for runner, args in calls]
     assert batched == oracle
 
 
@@ -133,7 +250,7 @@ def test_group_context_identity():
 
 
 def test_run_points_pool_fanout_identity():
-    """jobs > 1 shards assembly over shared memory; results identical."""
+    """run_points gives the same results under --jobs 3 as serially."""
     points = []
     for code in ("cg", "ft"):
         for l3_mb in (0, 8):

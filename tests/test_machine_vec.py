@@ -1,11 +1,11 @@
 """Randomized identity suites: vectorized engines vs scalar oracles.
 
-PR 5 established the discipline for ``repro.mem.kernels``: every
-batched NumPy path keeps its scalar loop as the oracle and must return
+Every batched NumPy path keeps a scalar twin and must return
 *byte-identical* results under randomized inputs.  These suites apply
-it to the whole-machine matrix pass — the analytical memory hierarchy,
-torus phase accounting, and pipeline timing — plus the node- and
-job-level compositions, including the degenerate edges (empty phases,
+that to the whole-machine matrix pass — the analytical memory
+hierarchy, torus phase accounting, and pipeline timing — plus the
+node- and job-level compositions, where the scalar side is
+:mod:`repro.reference`, including the degenerate edges (empty phases,
 single-node tori, zero-traversal loops, empty mixes).
 """
 
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import reference
 from repro.cpu.pipeline import PipelineModel
 from repro.isa import NUM_OP_CLASSES, InstructionMix
 from repro.mem.address import AccessKind, AccessPattern, StreamAccess
@@ -31,15 +32,6 @@ from repro.net.topology import TorusTopology
 from repro.net.torus import Message, TorusNetwork
 from repro.node.modes import OperatingMode
 from repro.node.soc import ComputeNode, LoopWork, ProcessWork
-from repro.parallel import get_vectorize, set_vectorize
-
-
-@pytest.fixture(autouse=True)
-def _restore_engine():
-    """Every test leaves the process-wide engine switch as it found it."""
-    before = get_vectorize()
-    yield
-    set_vectorize(before)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +210,8 @@ def test_node_memory_model_vector_identity(loops):
     """NodeMemoryModel.analyze: batched passes == scalar per process."""
     processes = [loops if loops else [((), 0)]] * 2 + [[((), 0)]]
     model = NodeMemoryModel()
-    try:
-        set_vectorize(False)
-        scalar = model.analyze(processes)
-        set_vectorize(True)
-        vector = model.analyze(processes)
-    finally:
-        set_vectorize(True)
+    scalar = reference.analyze_memory(model, processes)
+    vector = model.analyze(processes)
     assert scalar.shares == vector.shares
     assert scalar.inflations == vector.inflations
     for a, b in zip(scalar.per_process, vector.per_process):
@@ -344,37 +331,27 @@ def test_compute_node_vector_identity(mode):
     for seed in range(3):
         work = [_sample_work(seed + 10 * i)
                 for i in range(mode.processes_per_node)]
-        try:
-            set_vectorize(False)
-            scalar = ComputeNode(mode=mode).run(work)
-            set_vectorize(True)
-            vector = ComputeNode(mode=mode).run(work)
-        finally:
-            set_vectorize(True)
+        scalar_node = ComputeNode(mode=mode)
+        vector_node = ComputeNode(mode=mode)
+        scalar = reference.run_node(scalar_node, work)
+        vector = vector_node.run(work)
         assert scalar.events == vector.events
         assert scalar.process_cycles == vector.process_cycles
         assert scalar.node_cycles == vector.node_cycles
+        assert (scalar_node.upc.snapshot()
+                == vector_node.upc.snapshot()).all()
 
 
 def test_job_vector_identity_end_to_end():
-    """Legacy scalar engine vs memoized vector engine, full job."""
+    """Reference oracle vs the production job engine, full job."""
     from repro.npb import build_benchmark
     from repro.runtime.machine import Job, Machine, clear_comm_cache
 
     prog = build_benchmark("cg", 32, "S")
-
-    def run(vectorize: bool, memoize: bool):
-        try:
-            set_vectorize(vectorize)
-            clear_comm_cache()
-            machine = Machine(8, mode=OperatingMode.VNM)
-            return Job(machine, prog, 32, memoize=memoize).run()
-        finally:
-            set_vectorize(True)
-            clear_comm_cache()
-
-    scalar = run(False, False)
-    vector = run(True, True)
+    clear_comm_cache()
+    scalar = reference.run_job(Machine(8, mode=OperatingMode.VNM), prog, 32)
+    vector = Job(Machine(8, mode=OperatingMode.VNM), prog, 32).run()
+    clear_comm_cache()
     assert (json.dumps(scalar.to_dict(), sort_keys=True)
             == json.dumps(vector.to_dict(), sort_keys=True))
 
@@ -427,14 +404,13 @@ def test_mpi_comm_result_identity(op, num_ranks, mode):
     placement = place_ranks(num_ranks, mode)
     machine = Machine(max(placement.num_nodes, 2), mode=mode)
 
-    def run(vectorize: bool):
-        set_vectorize(vectorize)
-        mpi = SimMPI(placement, machine.topology, machine.torus,
+    def run(engine):
+        mpi = engine(placement, machine.topology, machine.torus,
                      machine.collective, machine.barrier)
         return mpi.run(op)
 
-    scalar = run(False)
-    vector = run(True)
+    scalar = run(reference.ReferenceMPI)
+    vector = run(SimMPI)
     assert _comm_result_fingerprint(scalar) == \
         _comm_result_fingerprint(vector)
 
@@ -502,12 +478,8 @@ def test_aggregation_vector_identity(seed, n_dumps, with_huge):
                               clock_hz=850_000_000,
                               sets={0: values}))
 
-    def run(vectorize: bool) -> Aggregation:
-        set_vectorize(vectorize)
-        return Aggregation(dumps, set_id=0)
-
-    scalar = run(False)
-    vector = run(True)
+    scalar = reference.aggregate(dumps, set_id=0)
+    vector = Aggregation(dumps, set_id=0)
     assert list(scalar.stats) == list(vector.stats)
     assert scalar.nodes_by_mode == vector.nodes_by_mode
     for name, expect in scalar.stats.items():

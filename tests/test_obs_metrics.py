@@ -198,7 +198,7 @@ def test_memory_model_evaluations_are_counted():
     model.analyze([loops])
     snap = metrics.snapshot()["counters"]
     assert snap["mem.node_analyses"] == 1
-    # derive_profile analyses at the fair and unbounded shares, then the
+    # the profile analyses at the fair and unbounded shares, then the
     # final pass re-analyses at the allocated share: >= 3 loop evals
     assert snap["mem.loop_evals"] >= 3
     assert snap["mem.stream_evals"] >= snap["mem.loop_evals"]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import reference
 from repro.compiler import O5, compile_program
 from repro.core.counters import UPCUnit
 from repro.node import OperatingMode
@@ -164,15 +165,18 @@ def test_detect_rate_jumps_validates_factor():
 
 
 # ---------------------------------------------------------------------------
-# identity: memoized engine == legacy engine, per node, byte for byte
+# identity: job engine == reference oracle, per node, byte for byte
 # ---------------------------------------------------------------------------
-def _sampled_series(program, memoize):
+def _sampled_series(program, oracle: bool):
     clear_comm_cache()
     machine = Machine(4, mode=OperatingMode.VNM)
     # 14 ranks on 4 VNM nodes: two equivalence classes (4,4,4,2), so
-    # the memoized engine actually exercises representative branching
-    result = Job(machine, program, 14, memoize=memoize,
-                 sample_every=150_000).run()
+    # the job engine actually exercises representative branching
+    if oracle:
+        result = reference.run_job(machine, program, 14,
+                                   sample_every=150_000)
+    else:
+        result = Job(machine, program, 14, sample_every=150_000).run()
     timeline = result.timeline
     assert timeline is not None
     return {
@@ -187,11 +191,11 @@ def _sampled_series(program, memoize):
 
 
 def test_memoized_series_identical_to_legacy(small_mg):
-    memoized = _sampled_series(small_mg, memoize=True)
-    legacy = _sampled_series(small_mg, memoize=False)
-    assert set(memoized) == set(legacy) == {0, 1, 2, 3}
-    blob_a = json.dumps(memoized, sort_keys=True, default=str)
-    blob_b = json.dumps(legacy, sort_keys=True, default=str)
+    engine = _sampled_series(small_mg, oracle=False)
+    oracle = _sampled_series(small_mg, oracle=True)
+    assert set(engine) == set(oracle) == {0, 1, 2, 3}
+    blob_a = json.dumps(engine, sort_keys=True, default=str)
+    blob_b = json.dumps(oracle, sort_keys=True, default=str)
     assert blob_a == blob_b
 
 

@@ -9,7 +9,7 @@ from repro.isa import InstructionMix, OpClass
 from repro.mem.address import StreamAccess
 from repro.node import OperatingMode
 from repro.obs import tracer
-from repro.runtime import run_job
+from repro.runtime import Job, Machine, run_job
 
 
 @pytest.fixture(autouse=True)
@@ -181,6 +181,18 @@ def test_job_run_produces_nested_job_phase_spans():
     comm = by_name["phase.comm"][0]
     assert comm.attrs["kind"] == "allreduce"
     assert comm.attrs["cycles"] > 0
+
+
+def test_phase_dump_span_counts_the_files_written(tmp_path):
+    """The dump span reports the per-node files finalize wrote, staged
+    or kept, and its I/O cycles."""
+    for dump_dir in (None, str(tmp_path)):
+        machine = Machine(4, mode=OperatingMode.SMP1)
+        with tracer.recording() as t:
+            Job(machine, _tiny_program(), 3).run(dump_dir=dump_dir)
+        (dump,) = [s for s in t.spans if s.name == "phase.dump"]
+        assert dump.attrs["files"] == 3
+        assert dump.attrs["cycles"] > 0
 
 
 def test_traced_experiment_span_wraps_runner():

@@ -492,28 +492,22 @@ def test_memoized_rejects_unhashable_with_clear_error():
 # ---------------------------------------------------------------------------
 # context-qualified persisted keys (the stale-hit regression)
 # ---------------------------------------------------------------------------
-def test_cache_context_reflects_group_vectorize_and_schema():
+def test_cache_context_reflects_group_and_schema():
     from repro import groups
     from repro.checkpoint import CACHE_SCHEMA_VERSION
-    from repro.parallel import cache_context, get_vectorize, set_vectorize
+    from repro.parallel import cache_context
 
-    base = dict(cache_context())
-    assert base["schema"] == CACHE_SCHEMA_VERSION
-    assert base["group"] == "BGP_BASE"
-    assert base["vectorize"] is get_vectorize()
-
-    original = get_vectorize()
-    try:
-        set_vectorize(not original)
-        assert dict(cache_context())["vectorize"] is not original
-    finally:
-        set_vectorize(original)
+    base = cache_context()
+    assert dict(base) == {"schema": CACHE_SCHEMA_VERSION,
+                          "group": "BGP_BASE"}
 
     groups.set_active_group("BGP_MEM")
     try:
         assert dict(cache_context())["group"] == "BGP_MEM"
+        assert cache_context() != base
     finally:
         groups.set_active_group("BGP_BASE")
+    assert cache_context() == base
 
 
 def _attach_probe(store):
@@ -529,36 +523,36 @@ def _attach_probe(store):
 
 
 def test_disk_record_invisible_after_vectorize_toggle(tmp_path):
-    """A payload persisted under one engine toggle must be a *miss*
-    under the other — the stale-hit bug this PR fixes."""
-    from repro.checkpoint import CheckpointStore
-    from repro.parallel import get_vectorize, set_vectorize
+    """Records persisted while the engine toggle was part of the key
+    context — under either setting, at the old or the current schema —
+    must be *misses* now that the toggle is retired."""
+    from repro.checkpoint import CACHE_SCHEMA_VERSION, CheckpointStore
+    from repro.parallel import cache_context
 
     store = CheckpointStore(tmp_path)
     probe, calls = _attach_probe(store)
-    original = get_vectorize()
+    category = probe._category()
     try:
+        for schema in (2, CACHE_SCHEMA_VERSION):
+            for engine in (False, True):
+                stale = (("schema", schema), ("group", "BGP_BASE"),
+                         ("vectorize", engine))
+                store.save(category, (stale, (3,)), {"value": -1})
+        assert store.count(category) == 4
         assert probe(3) == {"value": 6}
+        assert calls == [3]  # no toggle-keyed record is served
+
         probe.cache.clear()  # "new process", same disk
         assert probe(3) == {"value": 6}
-        assert calls == [3]  # disk hit, not recomputed
-
-        set_vectorize(not original)
-        probe.cache.clear()
-        assert probe(3) == {"value": 6}
-        assert calls == [3, 3]  # other context: recomputed
-
-        # and flipping back finds the original record again
-        set_vectorize(original)
-        probe.cache.clear()
-        assert probe(3) == {"value": 6}
-        assert calls == [3, 3]
+        assert calls == [3]  # the current-context record is a disk hit
+        assert store.load(category, (cache_context(), (3,))) == {"value": 6}
     finally:
-        set_vectorize(original)
         probe.detach_store()
 
 
 def test_disk_record_invisible_under_other_group(tmp_path):
+    """A payload persisted under one performance group must be a *miss*
+    under another, and a hit again once the group is switched back."""
     from repro import groups
     from repro.checkpoint import CheckpointStore
 
@@ -566,10 +560,19 @@ def test_disk_record_invisible_under_other_group(tmp_path):
     probe, calls = _attach_probe(store)
     try:
         assert probe(5) == {"value": 10}
+        probe.cache.clear()  # "new process", same disk
+        assert probe(5) == {"value": 10}
+        assert calls == [5]  # disk hit, not recomputed
+
         groups.set_active_group("BGP_MEM")
         probe.cache.clear()
         assert probe(5) == {"value": 10}
         assert calls == [5, 5]  # BGP_MEM never sees the BGP_BASE record
+
+        groups.set_active_group("BGP_BASE")
+        probe.cache.clear()
+        assert probe(5) == {"value": 10}
+        assert calls == [5, 5]  # the original record is found again
     finally:
         groups.set_active_group("BGP_BASE")
         probe.detach_store()

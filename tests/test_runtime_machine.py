@@ -117,7 +117,7 @@ def test_vnm_beats_smp1_throughput_per_chip(small_mg):
 
 
 # ---------------------------------------------------------------------------
-# memoized execution engine
+# node-class engine vs the reference oracle
 # ---------------------------------------------------------------------------
 def _dump_bytes(result):
     out = []
@@ -127,23 +127,26 @@ def _dump_bytes(result):
     return out
 
 
-def _run_engine(small_mg, tmp_path, tag, memoize, ranks=14):
+def _run_engine(small_mg, tmp_path, tag, oracle=False, ranks=14):
+    from repro import reference
     from repro.runtime.machine import clear_comm_cache
 
     clear_comm_cache()
     machine = Machine(4, mode=OperatingMode.VNM)
     d = tmp_path / tag
     d.mkdir()
-    return Job(machine, small_mg, ranks, memoize=memoize).run(
-        dump_dir=str(d))
+    if oracle:
+        return reference.run_job(machine, small_mg, ranks,
+                                 dump_dir=str(d))
+    return Job(machine, small_mg, ranks).run(dump_dir=str(d))
 
 
 def test_memoized_engine_matches_legacy_exactly(small_mg, tmp_path):
     """Equivalence-class simulation replicates the per-node dumps and
     totals byte-for-byte; 14 ranks on 4 VNM nodes gives two classes
     (three 4-resident nodes + one 2-resident node)."""
-    legacy = _run_engine(small_mg, tmp_path, "legacy", memoize=False)
-    memo = _run_engine(small_mg, tmp_path, "memo", memoize=True)
+    legacy = _run_engine(small_mg, tmp_path, "legacy", oracle=True)
+    memo = _run_engine(small_mg, tmp_path, "memo")
     assert _dump_bytes(memo) == _dump_bytes(legacy)
     assert memo.elapsed_cycles == legacy.elapsed_cycles
     assert memo.compute_cycles_per_rank == legacy.compute_cycles_per_rank
@@ -155,7 +158,7 @@ def test_comm_cache_hit_is_exact(small_mg, tmp_path):
     """A job replaying cached comm phases produces identical results."""
     from repro.runtime.machine import _COMM_CACHE
 
-    miss = _run_engine(small_mg, tmp_path, "miss", memoize=True)
+    miss = _run_engine(small_mg, tmp_path, "miss")
     assert len(_COMM_CACHE) == 1
     machine = Machine(4, mode=OperatingMode.VNM)
     d = tmp_path / "hit"
@@ -169,20 +172,20 @@ def test_comm_cache_hit_is_exact(small_mg, tmp_path):
 def test_legacy_engine_bypasses_comm_cache(small_mg, tmp_path):
     from repro.runtime.machine import _COMM_CACHE
 
-    _run_engine(small_mg, tmp_path, "bypass", memoize=False)
+    _run_engine(small_mg, tmp_path, "bypass", oracle=True)
     assert _COMM_CACHE == {}
 
 
 def test_pool_engine_matches_serial_exactly(small_mg, tmp_path):
-    """--jobs 4 fans node classes over a process pool; results are
-    byte-identical to the serial engine."""
+    """A job run under --jobs 4 is byte-identical to a serial one (the
+    worker count only fans out independent sweep points)."""
     from repro.parallel import get_jobs, set_jobs
 
-    serial = _run_engine(small_mg, tmp_path, "serial", memoize=True)
+    serial = _run_engine(small_mg, tmp_path, "serial")
     before = get_jobs()
     set_jobs(4)
     try:
-        pooled = _run_engine(small_mg, tmp_path, "pooled", memoize=True)
+        pooled = _run_engine(small_mg, tmp_path, "pooled")
     finally:
         set_jobs(before)
     assert _dump_bytes(pooled) == _dump_bytes(serial)

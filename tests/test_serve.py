@@ -92,20 +92,20 @@ def test_experiment_request_validates_ids():
 
 
 def test_request_hash_is_stable_and_context_sensitive():
-    from repro.parallel import get_vectorize, set_vectorize
+    from repro import groups
 
     canonical = SweepRequest.from_dict(
         {"points": [{"code": "MG"}]}).canonical()
     assert request_hash(canonical) == request_hash(canonical)
     assert canonical_json(canonical) == canonical_json(json.loads(
         canonical_json(canonical)))  # canonical form is a fixpoint
-    original = get_vectorize()
+    before = request_hash(canonical)
+    groups.set_active_group("BGP_MEM")
     try:
-        before = request_hash(canonical)
-        set_vectorize(not original)
         assert request_hash(canonical) != before
     finally:
-        set_vectorize(original)
+        groups.set_active_group("BGP_BASE")
+    assert request_hash(canonical) == before
 
 
 # ---------------------------------------------------------------------------
